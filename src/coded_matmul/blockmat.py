@@ -197,8 +197,13 @@ def read_matrix(path: str | Path) -> Matrix:
     return Matrix(rows, cols, data, modulus)
 
 
-def write_matrix(m: Matrix, path: str | Path) -> None:
+def format_matrix(m: Matrix) -> str:
+    """The plain-text format that `read_matrix` reads."""
     lines = [f"{m.rows} {m.cols} {m.modulus.q}"]
     for i in range(m.rows):
         lines.append(" ".join(str(v) for v in m.data[i * m.cols : (i + 1) * m.cols]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_matrix(m: Matrix, path: str | Path) -> None:
+    Path(path).write_text(format_matrix(m))

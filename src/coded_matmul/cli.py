@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library layers: `overheads` prints the
-exact cost model, `multiply` runs encode/compute/decode in-process,
+exact cost model, `multiply` runs the coded job on one worker thread,
 `simulate` estimates straggler latency, `tradeoff` emits the
 budget-vs-latency CSV, and `run` drives the threaded master/worker demo.
 
@@ -21,8 +21,8 @@ from fractions import Fraction
 from .blockmat import (
     Matrix,
     PartitionScheme,
+    format_matrix,
     matrix_multiply,
-    partition_matrix,
     read_matrix,
     write_matrix,
 )
@@ -30,15 +30,7 @@ from .ffield import PrimeModulus
 from .optimizer import Infeasible, SimTemplate, render_tradeoff_csv, tradeoff_curve
 from .overheads import compute_overheads
 from .runtime import InjectedDelay, JobFailed, JobSpec, render_trace_csv, run_job
-from .schemes import (
-    FieldTooSmall,
-    SchemeKind,
-    TaskResult,
-    decode_product,
-    encode_block,
-    evaluation_grid,
-    project_point,
-)
+from .schemes import FieldTooSmall, SchemeKind, recovery_threshold
 from .straggler_sim import SimConfig, StragglerModel, estimate_mean_latency
 
 _ALL_KINDS = [SchemeKind.EPC, SchemeKind.BI0, SchemeKind.BI2, SchemeKind.TRI]
@@ -223,56 +215,24 @@ def _load_pair(args) -> tuple[Matrix, Matrix]:
     return a, b
 
 
-def _direct_product(a: Matrix, b: Matrix) -> Matrix:
-    return matrix_multiply(a, b)
-
-
-def _coded_product(kind: SchemeKind, p: PartitionScheme, a: Matrix, b: Matrix) -> Matrix:
-    grid = evaluation_grid(kind, p, a.modulus)
-    blocks = (partition_matrix(a, p.p0, p.p1), partition_matrix(b, p.p1, p.p2))
-    shares: dict[tuple[int, tuple[int, ...]], Matrix] = {}
-
-    def share(input_id: int, point: tuple[int, ...]) -> Matrix:
-        key = (input_id, project_point(kind, input_id, point))
-        if key not in shares:
-            shares[key] = encode_block(kind, p, input_id, blocks[input_id], key[1]).block
-        return shares[key]
-
-    results = [
-        TaskResult(point, matrix_multiply(share(0, point), share(1, point)))
-        for point in grid.tasks
-    ]
-    return decode_product(kind, p, grid, results)
-
-
-def _format_matrix(m: Matrix) -> str:
-    lines = [f"{m.rows} {m.cols} {m.modulus.q}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(v) for v in m.data[i * m.cols : (i + 1) * m.cols]))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_multiply(args) -> int:
     a, b = _load_pair(args)
     kind = SchemeKind.parse(args.scheme)
-    p = _partition(args)
-    product = _coded_product(kind, p, a, b)
-    if args.verify and product != _direct_product(a, b):
+    product, _ = run_job(JobSpec(kind, _partition(args), a, b, workers=1))
+    if args.verify and product != matrix_multiply(a, b):
         print("verification failed: decoded product differs from direct product",
               file=sys.stderr)
         return 2
     if args.out:
         write_matrix(product, args.out)
     else:
-        sys.stdout.write(_format_matrix(product))
+        sys.stdout.write(format_matrix(product))
     return 0
 
 
 def _cmd_simulate(args) -> int:
     kind = SchemeKind.parse(args.scheme)
     p = _partition(args)
-    from .schemes import recovery_threshold
-
     model = StragglerModel(T0=args.t0, lam=1.0 / args.lambda_inv, K=p.K)
     cfg = SimConfig(
         N=args.workers,
@@ -327,13 +287,11 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    a = read_matrix(args.a)
-    b = read_matrix(args.b)
+    a, b = _load_pair(args)
     kind = SchemeKind.parse(args.scheme)
-    p = _partition(args)
     spec = JobSpec(
         kind=kind,
-        p=p,
+        p=_partition(args),
         M0=a,
         M1=b,
         workers=args.workers,
@@ -344,7 +302,7 @@ def _cmd_run(args) -> int:
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(render_trace_csv(trace))
-    ok = product == _direct_product(a, b)
+    ok = product == matrix_multiply(a, b)
     print(f"scheme {kind.value}")
     print(f"tasks {len(trace.records)}")
     print(f"workers {args.workers}")

@@ -1,4 +1,4 @@
-"""Exact arithmetic in a prime field F_q.
+"""The prime modulus q of the field F_q, and the primality check behind it.
 
 Every encoding, per-task product, and decode in this package happens over a
 prime field, so equality of decoded output with the plain product is exact
@@ -15,10 +15,6 @@ from dataclasses import dataclass
 DEFAULT_MODULUS = 2147483647
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-class ModulusMismatch(ValueError):
-    """Two field elements with different moduli were combined."""
 
 
 def is_prime(n: int) -> bool:
@@ -54,11 +50,10 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A prime q > 2 defining the field F_q, with raw-residue arithmetic.
+    """A prime q > 2 defining the field F_q.
 
-    The int-in, int-out methods are the fast path used by the matrix and
-    codec kernels; `element` wraps a residue in a FieldElement for callers
-    that want operator syntax.
+    Field elements are plain ints in [0, q); the matrix and codec kernels
+    reduce with `% q` and invert with `pow(a, q - 2, q)`.
     """
 
     q: int
@@ -68,65 +63,3 @@ class PrimeModulus:
             raise ValueError(f"modulus must exceed 2, got {self.q}")
         if not is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
-
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value % self.q, self)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a, e, self.q)
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat: a^(q-2) mod q."""
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical residue in [0, q) with field operator overloads."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.modulus.q)
-
-    def _check(self, other: FieldElement) -> None:
-        if self.modulus.q != other.modulus.q:
-            raise ModulusMismatch(
-                f"moduli differ: {self.modulus.q} vs {other.modulus.q}"
-            )
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.modulus.add(self.value, other.value), self.modulus)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.modulus.sub(self.value, other.value), self.modulus)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.modulus.mul(self.value, other.value), self.modulus)
-
-    def __pow__(self, exponent: int) -> FieldElement:
-        return FieldElement(self.modulus.pow(self.value, exponent), self.modulus)
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.modulus.inv(self.value), self.modulus)

@@ -1,5 +1,8 @@
 """Local concurrent master/worker engine running one coded multiplication.
 
+`run_job` is the package's one coded pipeline: `coded-matmul multiply` runs
+it with a single worker thread, and `coded-matmul run` with several.
+
 One coordinator thread owns all job state: it partitions the inputs,
 encodes coded shares lazily (cached per point projection, so a share
 reused across an axis is encoded once: the cache miss counts ARE the
@@ -121,6 +124,10 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     """Execute the coded multiplication on worker threads and decode."""
     if spec.M0.modulus.q != spec.M1.modulus.q:
         raise DimensionError("M0 and M1 use different moduli")
+    if spec.M0.cols != spec.M1.rows:
+        raise DimensionError(
+            f"cannot multiply {spec.M0.rows}x{spec.M0.cols} by {spec.M1.rows}x{spec.M1.cols}"
+        )
     kind, p = spec.kind, spec.p
     grid = evaluation_grid(kind, p, spec.M0.modulus)
     blocks0 = partition_matrix(spec.M0, p.p0, p.p1)

@@ -23,6 +23,8 @@ arithmetic in F_q; decoding equality is bit-for-bit, not approximate.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,50 +63,73 @@ class SchemeKind(Enum):
             raise ValueError(f"unknown scheme {label!r}; expected one of: {choices}")
 
 
-# Variable names per scheme, in task-point order.  epc evaluates a single
-# variable; the bivariate kinds each drop the outer variable that their
-# reused input does not depend on.
-_AXIS_NAMES = {
-    SchemeKind.EPC: ("x",),
-    SchemeKind.BI0: ("x", "y"),
-    SchemeKind.BI2: ("y", "z"),
-    SchemeKind.TRI: ("x", "y", "z"),
-}
+@dataclass(frozen=True)
+class _Code:
+    """One scheme's facts, as functions of the partition p.
 
-# Which task-point coordinates each input's polynomial reads.
-_INPUT_AXES = {
-    SchemeKind.EPC: ((0,), (0,)),
-    SchemeKind.BI0: ((0, 1), (1,)),
-    SchemeKind.BI2: ((0,), (0, 1)),
-    SchemeKind.TRI: ((0, 1), (1, 2)),
+    `axis_names` are the variables in task-point order; `input_axes` are
+    the task-point coordinates each input's polynomial reads; `sizes` gives
+    the points per axis.  `left` and `right` give the monomial exponents
+    of block (i, j) over that input's own axes: the left factor is indexed
+    (b0, b1), the right factor (b1, b2), and the middle index runs in
+    reversed order on the right factor so that the wanted block products
+    line up on one monomial per output block.  `target` is the monomial of
+    the product polynomial holding product block (n0, n2).
+    """
+
+    axis_names: tuple[str, ...]
+    input_axes: tuple[tuple[int, ...], tuple[int, ...]]
+    sizes: Callable[[PartitionScheme], tuple[int, ...]]
+    left: Callable[[PartitionScheme, int, int], tuple[int, ...]]
+    right: Callable[[PartitionScheme, int, int], tuple[int, ...]]
+    target: Callable[[PartitionScheme, int, int], tuple[int, ...]]
+
+
+# epc evaluates a single variable; the bivariate kinds each drop the outer
+# variable that their reused input does not depend on.
+_CODES = {
+    SchemeKind.EPC: _Code(
+        ("x",),
+        ((0,), (0,)),
+        sizes=lambda p: (p.p0 * p.p1 * p.p2 + p.p1 - 1,),
+        left=lambda p, i, j: (p.p1 * p.p2 * i + j,),
+        right=lambda p, i, j: (p.p1 * j + (p.p1 - 1 - i),),
+        target=lambda p, n0, n2: (p.p1 * p.p2 * n0 + p.p1 * n2 + p.p1 - 1,),
+    ),
+    SchemeKind.BI0: _Code(
+        ("x", "y"),
+        ((0, 1), (1,)),
+        sizes=lambda p: (p.p0, p.p1 * p.p2 + p.p1 - 1),
+        left=lambda p, i, j: (i, p.p1 - 1 - j),
+        right=lambda p, i, j: (j * p.p1 + i,),
+        target=lambda p, n0, n2: (n0, p.p1 - 1 + n2 * p.p1),
+    ),
+    SchemeKind.BI2: _Code(
+        ("y", "z"),
+        ((0,), (0, 1)),
+        sizes=lambda p: (p.p0 * p.p1 + p.p1 - 1, p.p2),
+        left=lambda p, i, j: (p.p1 * i + j,),
+        right=lambda p, i, j: (p.p1 - 1 - i, j),
+        target=lambda p, n0, n2: (p.p1 * n0 + p.p1 - 1, n2),
+    ),
+    SchemeKind.TRI: _Code(
+        ("x", "y", "z"),
+        ((0, 1), (1, 2)),
+        sizes=lambda p: (p.p0, 2 * p.p1 - 1, p.p2),
+        left=lambda p, i, j: (i, j),
+        right=lambda p, i, j: (p.p1 - 1 - i, j),
+        target=lambda p, n0, n2: (n0, p.p1 - 1, n2),
+    ),
 }
 
 
 def axis_names(kind: SchemeKind) -> tuple[str, ...]:
-    return _AXIS_NAMES[kind]
+    return _CODES[kind].axis_names
 
 
 def recovery_threshold(kind: SchemeKind, p: PartitionScheme) -> int:
-    """Number of completed subtasks that determines the product."""
-    p0, p1, p2 = p.p0, p.p1, p.p2
-    if kind is SchemeKind.EPC:
-        return p0 * p1 * p2 + p1 - 1
-    if kind is SchemeKind.BI0:
-        return p0 * (p1 * p2 + p1 - 1)
-    if kind is SchemeKind.BI2:
-        return (p0 * p1 + p1 - 1) * p2
-    return p0 * p2 * (2 * p1 - 1)
-
-
-def _axis_sizes(kind: SchemeKind, p: PartitionScheme) -> tuple[int, ...]:
-    p0, p1, p2 = p.p0, p.p1, p.p2
-    if kind is SchemeKind.EPC:
-        return (recovery_threshold(kind, p),)
-    if kind is SchemeKind.BI0:
-        return (p0, p1 * p2 + p1 - 1)
-    if kind is SchemeKind.BI2:
-        return (p0 * p1 + p1 - 1, p2)
-    return (p0, 2 * p1 - 1, p2)
+    """Number of completed subtasks that determines the product: the grid size."""
+    return math.prod(_CODES[kind].sizes(p))
 
 
 def upload_counts(kind: SchemeKind, p: PartitionScheme) -> tuple[int, int]:
@@ -113,25 +138,21 @@ def upload_counts(kind: SchemeKind, p: PartitionScheme) -> tuple[int, int]:
     An input depending on a subset of the variables has one distinct share
     per point of the sub-grid spanned by those variables.
     """
-    sizes = _axis_sizes(kind, p)
-    in0, in1 = _INPUT_AXES[kind]
-    r0 = r1 = 1
-    for a in in0:
-        r0 *= sizes[a]
-    for a in in1:
-        r1 *= sizes[a]
-    return r0, r1
+    code = _CODES[kind]
+    sizes = code.sizes(p)
+    in0, in1 = code.input_axes
+    return math.prod([sizes[a] for a in in0]), math.prod([sizes[a] for a in in1])
 
 
 def project_point(kind: SchemeKind, input_id: int, point: tuple[int, ...]) -> tuple[int, ...]:
     """Coordinates of a full task point that the given input's share uses."""
-    axes = _INPUT_AXES[kind][input_id]
-    if len(point) != len(_AXIS_NAMES[kind]):
+    code = _CODES[kind]
+    if len(point) != len(code.axis_names):
         raise PointArityError(
-            f"{kind.value} task point needs {len(_AXIS_NAMES[kind])} coordinates, "
+            f"{kind.value} task point needs {len(code.axis_names)} coordinates, "
             f"got {len(point)}"
         )
-    return tuple(point[a] for a in axes)
+    return tuple(point[a] for a in code.input_axes[input_id])
 
 
 @dataclass(frozen=True)
@@ -169,7 +190,7 @@ def evaluation_grid(
     kind: SchemeKind, p: PartitionScheme, field: PrimeModulus
 ) -> EvaluationGrid:
     """Deterministic grid: axis k uses points 1..size_k, tasks lexicographic."""
-    sizes = _axis_sizes(kind, p)
+    sizes = _CODES[kind].sizes(p)
     if max(sizes) >= field.q:
         raise FieldTooSmall(
             f"{kind.value} at {p} needs {max(sizes)} distinct nonzero points "
@@ -178,47 +199,6 @@ def evaluation_grid(
     axes = tuple(tuple(range(1, n + 1)) for n in sizes)
     tasks = tuple(itertools.product(*axes))
     return EvaluationGrid(kind, axes, tasks, field)
-
-
-def _block_exponents(
-    kind: SchemeKind, p: PartitionScheme, input_id: int, i: int, j: int
-) -> tuple[int, ...]:
-    """Monomial exponents attached to block (i, j), over the input's own axes.
-
-    The left factor is indexed (b0, b1), the right factor (b1, b2); the
-    middle index runs in reversed order on the right factor so that the
-    wanted block products line up on one monomial per output block.
-    """
-    p1, p2 = p.p1, p.p2
-    if kind is SchemeKind.EPC:
-        if input_id == 0:
-            return (p1 * p2 * i + j,)
-        return (p1 * j + (p1 - 1 - i),)
-    if kind is SchemeKind.BI0:
-        if input_id == 0:
-            return (i, p1 - 1 - j)
-        return (j * p1 + i,)
-    if kind is SchemeKind.BI2:
-        if input_id == 0:
-            return (p1 * i + j,)
-        return (p1 - 1 - i, j)
-    if input_id == 0:
-        return (i, j)
-    return (p1 - 1 - i, j)
-
-
-def _target_exponent(
-    kind: SchemeKind, p: PartitionScheme, n0: int, n2: int
-) -> tuple[int, ...]:
-    """Monomial of the product polynomial holding product block (n0, n2)."""
-    p1 = p.p1
-    if kind is SchemeKind.EPC:
-        return (p1 * p.p2 * n0 + p1 * n2 + p1 - 1,)
-    if kind is SchemeKind.BI0:
-        return (n0, p1 - 1 + n2 * p1)
-    if kind is SchemeKind.BI2:
-        return (p1 * n0 + p1 - 1, n2)
-    return (n0, p1 - 1, n2)
 
 
 def encode_block(
@@ -239,19 +219,21 @@ def encode_block(
             f"input {input_id} must be partitioned {expected[0]}x{expected[1]}, "
             f"got {blocks.pr}x{blocks.pc}"
         )
-    arity = len(_INPUT_AXES[kind][input_id])
+    code = _CODES[kind]
+    arity = len(code.input_axes[input_id])
     if len(point) != arity:
         raise PointArityError(
             f"{kind.value} input {input_id} expects {arity} coordinates, "
             f"got {len(point)}"
         )
+    exponents = code.left if input_id == 0 else code.right
     first = blocks.blocks[0][0]
     q = first.modulus.q
     acc = [0] * (first.rows * first.cols)
     for i, row in enumerate(blocks.blocks):
         for j, blk in enumerate(row):
             c = 1
-            for x, e in zip(point, _block_exponents(kind, p, input_id, i, j)):
+            for x, e in zip(point, exponents(p, i, j)):
                 c = c * pow(x, e, q) % q
             if c == 0:
                 continue
@@ -404,7 +386,7 @@ def decode_product(
             return tensor[exp]
 
     out = [
-        [coeff_at(_target_exponent(kind, p, n0, n2)) for n2 in range(p.p2)]
+        [coeff_at(_CODES[kind].target(p, n0, n2)) for n2 in range(p.p2)]
         for n0 in range(p.p0)
     ]
     return assemble_blocks(BlockGrid(out))

@@ -30,7 +30,6 @@ from coded_matmul.schemes import (
     decode_product,
     encode_block,
     evaluation_grid,
-    project_point,
     recovery_threshold,
     upload_counts,
 )
@@ -60,24 +59,6 @@ def criterion(num, name):
         return wrapper
 
     return deco
-
-
-def coded_multiply(kind, p, a, b):
-    grid = evaluation_grid(kind, p, a.modulus)
-    blocks = (partition_matrix(a, p.p0, p.p1), partition_matrix(b, p.p1, p.p2))
-    cache = {}
-
-    def share(input_id, point):
-        key = (input_id, project_point(kind, input_id, point))
-        if key not in cache:
-            cache[key] = encode_block(kind, p, input_id, blocks[input_id], key[1]).block
-        return cache[key]
-
-    results = [
-        TaskResult(point, matrix_multiply(share(0, point), share(1, point)))
-        for point in grid.tasks
-    ]
-    return decode_product(kind, p, grid, results)
 
 
 @criterion(1, "overhead identities")
@@ -116,7 +97,8 @@ def test_end_to_end_exact_decode():
                     p = PartitionScheme(p0, p1, p2)
                     a = Matrix.random(6, 6, F_BIG, rng)
                     b = Matrix.random(6, 6, F_BIG, rng)
-                    assert coded_multiply(kind, p, a, b) == matrix_multiply(a, b)
+                    spec = JobSpec(kind, p, a, b, workers=1)
+                    assert run_job(spec)[0] == matrix_multiply(a, b)
     assert time.perf_counter() - started < 30.0
 
 

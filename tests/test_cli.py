@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 import coded_matmul.cli as cli
 from coded_matmul.blockmat import Matrix, matrix_multiply, read_matrix, write_matrix
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
@@ -151,7 +153,7 @@ def test_multiply_verify_passes(capsys, tmp_path):
 def test_multiply_verify_failure_exits_two(capsys, tmp_path, monkeypatch):
     a, b, pa, pb = write_pair(tmp_path)
     wrong = Matrix.zeros(a.rows, b.cols, a.modulus)
-    monkeypatch.setattr(cli, "_direct_product", lambda x, y: wrong)
+    monkeypatch.setattr(cli, "matrix_multiply", lambda x, y: wrong)
     rc, _, err = run_cli(
         capsys, "multiply", "--scheme", "epc",
         "--p0", "1", "--p1", "2", "--p2", "1",
@@ -173,6 +175,20 @@ def test_multiply_mismatched_moduli_exit_one(capsys, tmp_path):
     )
     assert rc == 1
     assert err != ""
+
+
+@pytest.mark.parametrize("command", ["multiply", "run"])
+def test_inner_dimension_mismatch_exits_one(capsys, tmp_path, command):
+    # a 4x6 left factor against a 4x4 right factor; both split 2x2 evenly
+    _, _, pa, pb = write_pair(tmp_path, rows=4, inner=6, cols=4)
+    write_matrix(Matrix.random(4, 4, F_BIG, random.Random(9)), pb)
+    extra = ["--workers", "2"] if command == "run" else []
+    rc, _, err = run_cli(
+        capsys, command, "--scheme", "tri",
+        "--p0", "2", "--p1", "2", "--p2", "2", "--a", pa, "--b", pb, *extra,
+    )
+    assert rc == 1
+    assert "cannot multiply" in err
 
 
 def test_multiply_q_override_recomputes_in_that_field(capsys, tmp_path):
@@ -315,7 +331,7 @@ def test_run_demo_verifies_and_writes_trace(capsys, tmp_path):
 def test_run_verification_failure_exits_two(capsys, tmp_path, monkeypatch):
     a, b, pa, pb = write_pair(tmp_path)
     wrong = Matrix.zeros(a.rows, b.cols, a.modulus)
-    monkeypatch.setattr(cli, "_direct_product", lambda x, y: wrong)
+    monkeypatch.setattr(cli, "matrix_multiply", lambda x, y: wrong)
     rc, _, err = run_cli(
         capsys, "run", "--scheme", "tri",
         "--p0", "2", "--p1", "2", "--p2", "2",

@@ -1,24 +1,13 @@
-"""Field arithmetic tests: identities checked by hand, axioms as properties."""
+"""Field tests: the primality check, the modulus, and exactness above 2^61."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from coded_matmul.ffield import (
-    DEFAULT_MODULUS,
-    FieldElement,
-    ModulusMismatch,
-    PrimeModulus,
-    is_prime,
-)
-
-F7 = PrimeModulus(7)
-F101 = PrimeModulus(101)
-FBIG = PrimeModulus(DEFAULT_MODULUS)
+from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply
+from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus, is_prime
+from coded_matmul.runtime import JobSpec, run_job
+from coded_matmul.schemes import SchemeKind
 
 
 def test_default_modulus_is_mersenne_prime() -> None:
@@ -42,88 +31,14 @@ def test_modulus_rejects_composite_and_tiny() -> None:
         PrimeModulus(0)
 
 
-def test_inverse_in_f7() -> None:
-    # 3 * 5 = 15 = 2*7 + 1, so inv(3) = 5
-    assert F7.inv(3) == 5
-    assert F7.element(3).inverse() == F7.element(5)
-
-
-def test_identities() -> None:
-    for q in (F7, F101, FBIG):
-        a = q.element(q.q - 2)
-        zero = q.element(0)
-        one = q.element(1)
-        assert a + zero == a
-        assert a * one == a
-
-
-def test_inverse_property_big_field() -> None:
-    # 1000 random nonzero elements of the default field: a * inv(a) = 1
-    rng = random.Random(20260822)
-    for _ in range(1000):
-        a = rng.randrange(1, FBIG.q)
-        assert FBIG.mul(a, FBIG.inv(a)) == 1
-
-
-def test_inverse_of_zero_raises() -> None:
-    with pytest.raises(ZeroDivisionError):
-        F7.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        FBIG.element(0).inverse()
-
-
-def test_mixed_modulus_raises() -> None:
-    with pytest.raises(ModulusMismatch):
-        F7.element(1) + F101.element(1)
-    with pytest.raises(ModulusMismatch):
-        F7.element(2) * F101.element(2)
-
-
-def test_canonical_representative() -> None:
-    assert F7.element(-1).value == 6
-    assert F7.element(7).value == 0
-    assert F7.element(15).value == 1
-
-
-def test_subtraction_and_negation() -> None:
-    a = F7.element(2)
-    b = F7.element(5)
-    assert (a - b).value == 4
-    assert (-b).value == 2
-
-
-elements = st.integers(min_value=0, max_value=FBIG.q - 1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(elements, elements, elements)
-def test_field_axioms(a: int, b: int, c: int) -> None:
-    x, y, z = FBIG.element(a), FBIG.element(b), FBIG.element(c)
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=1, max_value=FBIG.q - 1))
-def test_fermat_little_theorem(a: int) -> None:
-    assert FBIG.pow(a, FBIG.q - 1) == 1
-    assert FBIG.element(a) ** (FBIG.q - 1) == FBIG.element(1)
-
-
 def test_large_modulus_products_exact() -> None:
-    # Largest prime below 2^63: (q-1)^2 = q^2 - 2q + 1 = 1 (mod q)
+    # Largest prime below 2^63.  Each entry of the product of two all-(q-1)
+    # n x n matrices is n * (q-1)^2 = n (mod q), since (q-1)^2 = 1 (mod q).
     q = PrimeModulus(9223372036854775783)
-    assert q.mul(q.q - 1, q.q - 1) == 1
-    # and a worked non-symmetric case against plain integer arithmetic
-    a, b = 2**62 + 12345, 2**61 + 67890
-    assert q.mul(a, b) == (a * b) % q.q
-
-
-def test_pow_negative_exponent() -> None:
-    # a ** -1 is the inverse
-    a = F101.element(17)
-    assert a ** -1 == a.inverse()
-    assert (a ** -3) * (a**3) == F101.element(1)
+    n = 4
+    m = Matrix(n, n, [q.q - 1] * (n * n), q)
+    want = Matrix(n, n, [n] * (n * n), q)
+    assert matrix_multiply(m, m) == want
+    for kind in SchemeKind:
+        product, _ = run_job(JobSpec(kind, PartitionScheme(2, 2, 2), m, m, workers=1))
+        assert product == want, kind
