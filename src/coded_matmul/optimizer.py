@@ -8,11 +8,13 @@ delta_d >= p1 - 1, so any p1 above floor(budget_d) + 1 is infeasible and
 the cap is derived.  With no download budget, an explicit p1 cap is
 required to keep the box finite.
 
-Latency estimates are cached by every parameter they depend on, so schemes
-(and kinds, and budget points) that map to the same simulation share one
-Monte Carlo estimate.  That makes cross-budget comparisons exact: a larger
-budget's feasible set contains the smaller one's, and the minimum over a
-superset of identical cached values cannot increase.
+Each search draws one pooled completion table, up to the largest R_th of
+its candidates, and reads each candidate's trial latencies off it as column
+R_th - 1 over K.  A column does not depend on how far the table was drawn,
+so a candidate gets the same estimate in every search and from
+`estimate_mean_latency`.  Cross-budget comparisons are therefore exact: a
+larger budget's feasible set contains the smaller one's, and the minimum
+over a superset of identical values cannot increase.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ from fractions import Fraction
 from .blockmat import PartitionScheme
 from .overheads import OverheadReport, compute_overheads
 from .schemes import SchemeKind, recovery_threshold
-from .straggler_sim import (
-    LatencyEstimate,
-    SimConfig,
-    StragglerModel,
-    estimate_mean_latency,
-)
+from .straggler_sim import LatencyEstimate, completion_table, summarize
 
 
 class Infeasible(ValueError):
@@ -62,6 +59,10 @@ class SimTemplate:
     def __post_init__(self) -> None:
         if self.N < 1 or self.trials < 1:
             raise ValueError(f"N and trials must be >= 1, got {self}")
+        if self.T0 < 0:
+            raise ValueError(f"T0 must be >= 0, got {self.T0}")
+        if self.lam <= 0:
+            raise ValueError(f"lam must be > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -137,37 +138,23 @@ def feasible_partitions(spec: SearchSpec) -> list[PartitionScheme]:
     return out
 
 
-def _cached_latency(
-    spec: SearchSpec, p: PartitionScheme, cache: dict | None
-) -> LatencyEstimate:
-    sim = spec.sim
-    rth = recovery_threshold(spec.kind, p)
-    key = (sim.N, p.K, rth, sim.T0, sim.lam, sim.trials, sim.seed)
-    if cache is not None and key in cache:
-        return cache[key]
-    model = StragglerModel(T0=sim.T0, lam=sim.lam, K=p.K)
-    est = estimate_mean_latency(
-        SimConfig(N=sim.N, R_th=rth, model=model, trials=sim.trials, seed=sim.seed)
-    )
-    if cache is not None:
-        cache[key] = est
-    return est
-
-
-def search_best_partition(spec: SearchSpec, cache: dict | None = None) -> SearchResult:
+def search_best_partition(spec: SearchSpec) -> SearchResult:
     """Simulate every feasible scheme and keep the lowest mean latency.
 
     Ties go to the smaller partition level K, then lexicographic (p0,p1,p2).
     """
-    if cache is None:
-        cache = {}
     feasible = feasible_partitions(spec)
     if not feasible:
         raise Infeasible(f"no feasible partition for {spec.kind.value} within budgets")
+    sim = spec.sim
+    rths = [recovery_threshold(spec.kind, p) for p in feasible]
+    ranks = sorted(set(rths))
+    table = completion_table(sim.N, sim.T0, sim.lam, sim.trials, sim.seed, ranks)
+    column = {r: j for j, r in enumerate(ranks)}
     best_key = None
     best: tuple[PartitionScheme, LatencyEstimate] | None = None
-    for p in feasible:
-        est = _cached_latency(spec, p, cache)
+    for p, rth in zip(feasible, rths):
+        est = summarize(table[:, column[rth]] / p.K)
         key = (est.mean, p.K, (p.p0, p.p1, p.p2))
         if best_key is None or key < best_key:
             best_key = key
@@ -189,14 +176,11 @@ def tradeoff_curve(
     p2_cap: int,
     sim: SimTemplate,
     force_p1_single: bool = False,
-    cache: dict | None = None,
 ) -> list[TradeoffRow]:
     """One constrained search per (kind, budget), equal budgets on all three
     constraints; infeasible cells become marked rows, not gaps."""
     if not kinds or not budgets:
         raise ValueError("kinds and budgets must be nonempty")
-    if cache is None:
-        cache = {}
     rows = []
     for kind in kinds:
         for budget in budgets:
@@ -212,7 +196,7 @@ def tradeoff_curve(
                 p1_cap=1 if force_p1_single else None,
             )
             try:
-                res = search_best_partition(spec, cache=cache)
+                res = search_best_partition(spec)
             except Infeasible:
                 rows.append(TradeoffRow(kind, b, False, None, None, None, None))
                 continue

@@ -9,6 +9,8 @@ completion instant over independent trials, with its standard error.
 Determinism contract: trial i draws from a PCG64 stream seeded by the pair
 (seed, i), so results are bit-stable for a given config, early trials are
 unchanged when the trial count grows, and trials could run in any order.
+Streams are drawn in fixed blocks, so a trial's r-th pooled completion does
+not depend on how many completions are asked of it.
 """
 
 from __future__ import annotations
@@ -61,43 +63,55 @@ def sample_subtask_time(model: StragglerModel, rng: np.random.Generator) -> floa
     return model.T0 / model.K + rng.standard_exponential() / (model.lam * model.K)
 
 
-def simulate_once(
-    N: int, R_th: int, model: StragglerModel, rng: np.random.Generator
-) -> float:
-    """Instant of the R_th-th subtask completion across N workers.
+def pooled_completions(
+    N: int, R: int, T0: float, lam: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The R earliest completion instants pooled over N workers at K = 1,
+    ascending.  At level K a subtask costs (T0 + Exp/lam)/K, so each instant
+    is divided by K.
 
-    Each worker's completion instants are the cumulative sums of its i.i.d.
-    subtask times.  Rather than merging events one at a time, draw a block
-    of subtasks per worker, take the R_th-th smallest completion overall,
-    and extend any worker whose generated stream ends before that candidate
-    (a worker's future completions land after its last drawn one, so once
-    every stream passes the candidate no undrawn completion can change it).
+    Each worker's subtask times are drawn in blocks of 4, 8, 16, ... columns
+    whatever R is, so entry r - 1 does not depend on R.  Drawing stops once
+    every worker's last drawn completion is at or past the R-th smallest one
+    drawn, so no later completion can change the R earliest.
     """
-    shift = model.T0 / model.K
-    scale = 1.0 / (model.lam * model.K)
-    per = -(-R_th // N) + 3
-    steps = shift + rng.standard_exponential((N, per)) * scale
-    comp = np.cumsum(steps, axis=1)
+    width = 4
+    comp = np.cumsum(T0 + rng.standard_exponential((N, width)) / lam, axis=1)
     while True:
-        kth = np.partition(comp.ravel(), R_th - 1)[R_th - 1]
-        if comp[:, -1].min() >= kth:
-            return float(kth)
-        extra = shift + rng.standard_exponential((N, per)) * scale
-        comp = np.concatenate([comp, comp[:, -1:] + np.cumsum(extra, axis=1)], axis=1)
+        if comp.size >= R:
+            pooled = np.partition(comp.ravel(), R - 1)[:R]
+            if comp[:, -1].min() >= pooled[-1]:
+                return np.sort(pooled)
+        width *= 2
+        steps = T0 + rng.standard_exponential((N, width)) / lam
+        comp = np.concatenate([comp, comp[:, -1:] + np.cumsum(steps, axis=1)], axis=1)
+
+
+def completion_table(
+    N: int, T0: float, lam: float, trials: int, seed: int, ranks: list[int]
+) -> np.ndarray:
+    """Row i, column j: trial i's ranks[j]-th pooled completion at K = 1.
+    Trial i draws from PCG64(SeedSequence((seed, i))), up to the largest rank."""
+    R, cols, out = max(ranks), np.asarray(ranks) - 1, np.empty((trials, len(ranks)))
+    for i in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        out[i] = pooled_completions(N, R, T0, lam, rng)[cols]
+    return out
 
 
 def trial_latencies(cfg: SimConfig) -> np.ndarray:
     """All per-trial latency samples, one independent RNG stream per trial."""
-    out = np.empty(cfg.trials)
-    for i in range(cfg.trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
-        out[i] = simulate_once(cfg.N, cfg.R_th, cfg.model, rng)
-    return out
+    m = cfg.model
+    return completion_table(cfg.N, m.T0, m.lam, cfg.trials, cfg.seed, [cfg.R_th])[:, 0] / m.K
+
+
+def summarize(samples: np.ndarray) -> LatencyEstimate:
+    """Mean of per-trial latency samples, with its standard error."""
+    if len(samples) == 1:
+        return LatencyEstimate(float(samples[0]), 0.0, 1)
+    stderr = float(samples.std(ddof=1)) / math.sqrt(len(samples))
+    return LatencyEstimate(float(samples.mean()), stderr, len(samples))
 
 
 def estimate_mean_latency(cfg: SimConfig) -> LatencyEstimate:
-    samples = trial_latencies(cfg)
-    if cfg.trials == 1:
-        return LatencyEstimate(float(samples[0]), 0.0, 1)
-    stderr = float(samples.std(ddof=1)) / math.sqrt(cfg.trials)
-    return LatencyEstimate(float(samples.mean()), stderr, cfg.trials)
+    return summarize(trial_latencies(cfg))

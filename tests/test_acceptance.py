@@ -18,7 +18,6 @@ from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.optimizer import (
     SearchSpec,
     SimTemplate,
-    _cached_latency,
     feasible_partitions,
     tradeoff_curve,
 )
@@ -217,11 +216,9 @@ def test_latency_ordering_across_budgets():
     budgets = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
     cap = 10
     sim = SimTemplate(N=300, T0=1.0, lam=0.1, trials=1000, seed=42)
-    cache = {}
-    rows = tradeoff_curve(ALL_KINDS, budgets, p0_cap=cap, p2_cap=cap, sim=sim, cache=cache)
+    rows = tradeoff_curve(ALL_KINDS, budgets, p0_cap=cap, p2_cap=cap, sim=sim)
     forced = tradeoff_curve(
-        ALL_KINDS, budgets, p0_cap=cap, p2_cap=cap, sim=sim, force_p1_single=True,
-        cache=cache,
+        ALL_KINDS, budgets, p0_cap=cap, p2_cap=cap, sim=sim, force_p1_single=True
     )
     by_cell = {(r.kind, r.budget): r for r in rows}
     forced_by_cell = {(r.kind, r.budget): r for r in forced}
@@ -242,13 +239,16 @@ def test_latency_ordering_across_budgets():
 
     def witness_entry(kind, K, b):
         """`kind`'s p1 = 1 witness with K products, asserted feasible at
-        budget b and simulated by the optimizer with the sweep's cache."""
+        budget b and simulated as `simulate` would at the sweep's settings,
+        which is exactly what the sweep gives that partition."""
         w = p1_single_witness(kind, K, b)
         spec = SearchSpec(kind, b, b, b, p0_cap=w.p0, p2_cap=w.p2, sim=sim, p1_cap=1)
         assert w in feasible_partitions(spec), (
             f"budget {float(b)}: witness {kind.value} ({w.p0},1,{w.p2}) infeasible"
         )
-        est = _cached_latency(spec, w, cache)
+        model = StragglerModel(sim.T0, sim.lam, w.K)
+        r_th = recovery_threshold(kind, w)
+        est = estimate_mean_latency(SimConfig(sim.N, r_th, model, sim.trials, sim.seed))
         return est, f"witness {label(kind, w, est)}"
 
     def judge(b, slow_rows, fast_row):
@@ -315,7 +315,7 @@ def test_latency_ordering_across_budgets():
         ):
             violations.append(f"p1=1 restriction beat the free search at {key}")
 
-    assert time.perf_counter() - started < 600.0
+    assert time.perf_counter() - started < 60.0
     assert not violations, "; ".join(violations)
 
 

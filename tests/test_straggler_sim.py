@@ -18,9 +18,10 @@ from coded_matmul.straggler_sim import (
     LatencyEstimate,
     SimConfig,
     StragglerModel,
+    completion_table,
     estimate_mean_latency,
+    pooled_completions,
     sample_subtask_time,
-    simulate_once,
     trial_latencies,
 )
 
@@ -137,7 +138,48 @@ def test_sample_lower_bound() -> None:
     bound = math.ceil(R_th / N) * model.T0 / model.K
     for i in range(200):
         rng = np.random.default_rng(100 + i)
-        assert simulate_once(N, R_th, model, rng) >= bound
+        pooled = pooled_completions(N, R_th, model.T0, model.lam, rng)
+        assert pooled[-1] / model.K >= bound
+
+
+@pytest.mark.parametrize(
+    "N, r, R",
+    [
+        (7, 3, 200),  # r inside the first block, R several blocks further
+        (7, 10, 29),  # R outgrows the first block (7 workers x 4 columns)
+        (7, 40, 120),  # r across a block boundary
+        (1, 4, 5),  # N = 1: the first block holds exactly 4 completions
+        (1, 12, 40),
+        (1, 1, 100),
+    ],
+)
+def test_prefix_does_not_depend_on_draw_depth(N: int, r: int, R: int) -> None:
+    """A table drawn to R and one drawn to r < R agree on their first r
+    entries, bit for bit, although the deeper one drew more blocks."""
+    deeper = 0
+    for seed in range(20):
+        short_rng, long_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        short = pooled_completions(N, r, 1.0, 0.3, short_rng)
+        long = pooled_completions(N, R, 1.0, 0.3, long_rng)
+        assert len(short) == r and len(long) == R
+        assert np.all(np.diff(long) >= 0)
+        assert np.array_equal(short, long[:r])
+        deeper += short_rng.bit_generator.state != long_rng.bit_generator.state
+    assert deeper > 0
+
+
+def test_table_columns_do_not_depend_on_other_ranks() -> None:
+    full = completion_table(5, 0.5, 2.0, 30, 21, [1, 9, 60])
+    for j, rank in enumerate([1, 9, 60]):
+        alone = completion_table(5, 0.5, 2.0, 30, 21, [rank])
+        assert np.array_equal(alone[:, 0], full[:, j])
+
+
+def test_latencies_are_table_column_over_k() -> None:
+    model = StragglerModel(T0=1.0, lam=0.2, K=6)
+    cfg = SimConfig(N=7, R_th=30, model=model, trials=40, seed=12)
+    table = completion_table(7, 1.0, 0.2, 40, 12, [30, 45])
+    assert np.array_equal(trial_latencies(cfg), table[:, 0] / 6)
 
 
 def test_deterministic_given_seed() -> None:
