@@ -1,19 +1,27 @@
-"""Dense matrices over F_q with block partitioning and exact products.
+"""Dense matrices over F_q with block partitioning and one exact product kernel.
 
-A matrix is split into an equal-size grid of blocks: the left factor into
-p0 x p1 blocks, the right factor into p1 x p2 blocks.  Block (n0, n2) of the
-product is the sum over the middle index of blockwise products, which is the
-identity every coding scheme in this package relies on.  Dimensions must be
-exactly divisible by the partition counts; padding is never applied silently,
-so decode-equality checks stay exact.
+A `Matrix` holds a rows x cols ndarray (int64 for q < 2^31, Python ints
+above), and `modmatmul` is the one F_q matrix product under encoding,
+per-task multiply and decoding.  A matrix is split into an equal-size grid
+of blocks: the left factor into p0 x p1 blocks, the right factor into
+p1 x p2 blocks.  Block (n0, n2) of the product is the sum over the middle
+index of blockwise products, which is the identity every coding scheme in
+this package relies on.  Dimensions must be exactly divisible by the
+partition counts; padding is never applied silently, so decode-equality
+checks stay exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .ffield import PrimeModulus
+
+# Moduli below this hold their entries as int64 and multiply in 16-bit limbs.
+_WORD_Q = 2**31
 
 
 class DimensionError(ValueError):
@@ -42,50 +50,73 @@ class PartitionScheme:
         return self.p0 * self.p1 * self.p2
 
 
-@dataclass(frozen=True, eq=True)
+def field_array(data, q: int) -> np.ndarray:
+    """Entries as held over F_q: int64 for q < 2^31, Python ints above."""
+    # Every entry must fit int64, as residues do below PrimeModulus's 2^63 cap.
+    arr = np.asarray(data, dtype=np.int64)
+    return arr if q < _WORD_Q else arr.astype(object)
+
+
+def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact a @ b mod q for 2-D arrays of residues in [0, q).
+
+    Below 2^31 a splits into 16-bit limbs, a = hi * 2^16 + lo, and the product
+    is ((hi @ b) mod q * 2^16 + lo @ b) mod q in int64.  The largest value
+    formed is (q - 1) * (2^16 + inner * (2^16 - 1)); where that reaches 2^63,
+    and for every q >= 2^31, it runs on Python ints in object arrays instead.
+    """
+    if q < _WORD_Q and (q - 1) * (2**16 + a.shape[1] * (2**16 - 1)) < 2**63:
+        hi, lo = a >> 16, a & 0xFFFF
+        return ((hi @ b) % q * 2**16 + lo @ b) % q
+    return field_array((a.astype(object) @ b.astype(object)) % q, q)
+
+
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Row-major dense matrix of canonical residues in [0, q)."""
+    """A rows x cols matrix of canonical residues in [0, q).
+
+    `data` takes rows * cols entries in row-major order, in any array-like
+    form, and holds them as a read-only rows x cols `field_array`.
+    """
 
     rows: int
     cols: int
-    data: list[int] = field(compare=True)
-    modulus: PrimeModulus = field(compare=True)
+    data: np.ndarray
+    modulus: PrimeModulus
 
     def __post_init__(self) -> None:
-        if len(self.data) != self.rows * self.cols:
-            raise ShapeError(
-                f"expected {self.rows * self.cols} entries, got {len(self.data)}"
-            )
+        arr = field_array(self.data, self.modulus.q)
+        if arr.size != self.rows * self.cols:
+            raise ShapeError(f"expected {self.rows * self.cols} entries, got {arr.size}")
+        arr = arr.reshape(self.rows, self.cols)
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.modulus == other.modulus and np.array_equal(self.data, other.data)
 
     def at(self, i: int, j: int) -> int:
-        return self.data[i * self.cols + j]
+        return int(self.data[i, j])
 
     def __add__(self, other: Matrix) -> Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("matrix addition requires equal shapes")
         q = self.modulus.q
-        return Matrix(
-            self.rows,
-            self.cols,
-            [(x + y) % q for x, y in zip(self.data, other.data)],
-            self.modulus,
-        )
+        return Matrix(self.rows, self.cols, (self.data + other.data) % q, self.modulus)
 
     def scale(self, c: int) -> Matrix:
         q = self.modulus.q
-        c %= q
-        return Matrix(self.rows, self.cols, [c * x % q for x in self.data], self.modulus)
+        return Matrix(self.rows, self.cols, c % q * self.data % q, self.modulus)
 
     @staticmethod
     def zeros(rows: int, cols: int, modulus: PrimeModulus) -> Matrix:
-        return Matrix(rows, cols, [0] * (rows * cols), modulus)
+        return Matrix(rows, cols, np.zeros(rows * cols, dtype=np.int64), modulus)
 
     @staticmethod
     def identity(n: int, modulus: PrimeModulus) -> Matrix:
-        data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = 1
-        return Matrix(n, n, data, modulus)
+        return Matrix(n, n, np.eye(n, dtype=np.int64), modulus)
 
     @staticmethod
     def random(rows: int, cols: int, modulus: PrimeModulus, rng) -> Matrix:
@@ -126,31 +157,15 @@ def partition_matrix(m: Matrix, pr: int, pc: int) -> BlockGrid:
             f"{m.rows}x{m.cols} matrix not divisible into {pr}x{pc} blocks"
         )
     br, bc = m.rows // pr, m.cols // pc
-    grid = []
-    for i in range(pr):
-        row = []
-        for j in range(pc):
-            data = []
-            for r in range(i * br, (i + 1) * br):
-                base = r * m.cols + j * bc
-                data.extend(m.data[base : base + bc])
-            row.append(Matrix(br, bc, data, m.modulus))
-        grid.append(row)
-    return BlockGrid(grid)
+    tiles = m.data.reshape(pr, br, pc, bc).swapaxes(1, 2)
+    return BlockGrid([[Matrix(br, bc, t, m.modulus) for t in row] for row in tiles])
 
 
 def assemble_blocks(g: BlockGrid) -> Matrix:
     """Tile the grid back into one matrix; exact inverse of partition_matrix."""
-    br, bc = g.blocks[0][0].rows, g.blocks[0][0].cols
-    rows, cols = g.pr * br, g.pc * bc
-    data = [0] * (rows * cols)
-    for i, row in enumerate(g.blocks):
-        for j, blk in enumerate(row):
-            for r in range(br):
-                dst = (i * br + r) * cols + j * bc
-                src = r * bc
-                data[dst : dst + bc] = blk.data[src : src + bc]
-    return Matrix(rows, cols, data, g.blocks[0][0].modulus)
+    first = g.blocks[0][0]
+    data = np.block([[blk.data for blk in row] for row in g.blocks])
+    return Matrix(g.pr * first.rows, g.pc * first.cols, data, first.modulus)
 
 
 def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
@@ -159,17 +174,7 @@ def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if a.modulus.q != b.modulus.q:
         raise DimensionError("operands use different moduli")
-    q = a.modulus.q
-    n, m, k = a.rows, b.cols, a.cols
-    # Transposing b gives contiguous column slices for the inner dot product.
-    bt = [[b.data[r * m + j] for r in range(k)] for j in range(m)]
-    out = [0] * (n * m)
-    for i in range(n):
-        arow = a.data[i * k : (i + 1) * k]
-        base = i * m
-        for j in range(m):
-            out[base + j] = sum(x * y for x, y in zip(arow, bt[j])) % q
-    return Matrix(n, m, out, a.modulus)
+    return Matrix(a.rows, b.cols, modmatmul(a.data, b.data, a.modulus.q), a.modulus)
 
 
 def read_matrix(path: str | Path) -> Matrix:
@@ -199,10 +204,8 @@ def read_matrix(path: str | Path) -> Matrix:
 
 def format_matrix(m: Matrix) -> str:
     """The plain-text format that `read_matrix` reads."""
-    lines = [f"{m.rows} {m.cols} {m.modulus.q}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(v) for v in m.data[i * m.cols : (i + 1) * m.cols]))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(map(str, row)) for row in m.data.tolist())
+    return "\n".join([f"{m.rows} {m.cols} {m.modulus.q}", *rows]) + "\n"
 
 
 def write_matrix(m: Matrix, path: str | Path) -> None:

@@ -206,8 +206,8 @@ def _load_pair(args) -> tuple[Matrix, Matrix]:
     b = read_matrix(args.b)
     if getattr(args, "q", None) is not None:
         q = PrimeModulus(args.q)
-        a = Matrix(a.rows, a.cols, [v % q.q for v in a.data], q)
-        b = Matrix(b.rows, b.cols, [v % q.q for v in b.data], q)
+        a = Matrix(a.rows, a.cols, a.data % q.q, q)
+        b = Matrix(b.rows, b.cols, b.data % q.q, q)
     elif a.modulus.q != b.modulus.q:
         raise _UsageError(
             f"moduli differ ({a.modulus.q} vs {b.modulus.q}); pass --q to override"

@@ -235,7 +235,6 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     if len(results) < need:
         raise JobFailed(first_error or "workers exited before finishing", trace)
 
-    results.sort(key=lambda r: r.point)
     product = decode_product(kind, p, grid, results)
     return product, trace
 

@@ -15,9 +15,11 @@ coefficient of the pointwise-product polynomial:
   on only two of (x, y, z) and shares are reused across the third.
 
 The product polynomial's coefficient at a known monomial equals one block
-of the matrix product, and on a full Cartesian grid the coefficients are
-recovered exactly by interpolating one axis at a time.  Everything is exact
-arithmetic in F_q; decoding equality is bit-for-bit, not approximate.
+of the matrix product.  A share is one row of monomial values times the
+input's stacked blocks; decoding stacks the results into an array shaped by
+the axis sizes and applies each axis's inverse Vandermonde matrix in turn.
+Both are F_q products through `blockmat.modmatmul`, so decoding equality
+is bit-for-bit, not approximate.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .blockmat import BlockGrid, Matrix, PartitionScheme, ShapeError, assemble_blocks
+import numpy as np
+
+from .blockmat import (
+    BlockGrid, Matrix, PartitionScheme, ShapeError, assemble_blocks, field_array, modmatmul
+)
 from .ffield import PrimeModulus
 
 
@@ -210,8 +216,9 @@ def encode_block(
 ) -> CodedShare:
     """Evaluate one input's encoding polynomial at a (projected) point.
 
-    The share is the monomial-weighted sum of that input's blocks and is
-    linear in the input matrix.
+    The share is the monomial-weighted sum of that input's blocks: the row
+    of monomial values at the point times the blocks stacked one per row.
+    It is linear in the input matrix.
     """
     expected = (p.p0, p.p1) if input_id == 0 else (p.p1, p.p2)
     if (blocks.pr, blocks.pc) != expected:
@@ -229,17 +236,13 @@ def encode_block(
     exponents = code.left if input_id == 0 else code.right
     first = blocks.blocks[0][0]
     q = first.modulus.q
-    acc = [0] * (first.rows * first.cols)
-    for i, row in enumerate(blocks.blocks):
-        for j, blk in enumerate(row):
-            c = 1
-            for x, e in zip(point, exponents(p, i, j)):
-                c = c * pow(x, e, q) % q
-            if c == 0:
-                continue
-            for idx, v in enumerate(blk.data):
-                acc[idx] += c * v
-    data = [v % q for v in acc]
+    coeffs = [
+        math.prod(pow(x, e, q) for x, e in zip(point, exponents(p, i, j))) % q
+        for i in range(blocks.pr)
+        for j in range(blocks.pc)
+    ]
+    stacked = np.stack([blk.data for row in blocks.blocks for blk in row])
+    data = modmatmul(field_array([coeffs], q), stacked.reshape(len(coeffs), -1), q)
     return CodedShare(input_id, tuple(point), Matrix(first.rows, first.cols, data, first.modulus))
 
 
@@ -277,67 +280,19 @@ def _lagrange_basis(points: tuple[int, ...], q: int) -> list[list[int]]:
     return basis
 
 
-def interpolate_univariate(
-    points, samples: list[Matrix], field: PrimeModulus
-) -> list[Matrix]:
-    """Recover the matrix-valued coefficients fitting samples at points.
+def interpolate_univariate(points, samples: np.ndarray, field: PrimeModulus) -> np.ndarray:
+    """Recover the coefficients fitting samples[i] at points[i], along axis 0.
 
-    Returns n coefficient matrices in ascending degree order, computed
-    entrywise; evaluation at each point reproduces its sample exactly.
+    Entry k of the result's axis 0 holds the degree-k coefficient; the other
+    axes keep the samples' shape.  This is the inverse Vandermonde matrix
+    (the transposed Lagrange basis) times the samples, through `modmatmul`.
     """
     n = len(points)
-    if n == 0 or n != len(samples):
+    if n == 0 or n != samples.shape[0]:
         raise SingularSystem("need equally many points and samples, at least one")
-    shape = (samples[0].rows, samples[0].cols)
-    for s in samples:
-        if (s.rows, s.cols) != shape:
-            raise ShapeError("interpolation samples differ in shape")
     q = field.q
-    basis = _lagrange_basis(tuple(points), q)
-    size = shape[0] * shape[1]
-    out = [[0] * size for _ in range(n)]
-    for i, sample in enumerate(samples):
-        row = basis[i]
-        for k in range(n):
-            b = row[k]
-            if b == 0:
-                continue
-            target = out[k]
-            for e, v in enumerate(sample.data):
-                target[e] += b * v
-    return [
-        Matrix(shape[0], shape[1], [v % q for v in data], samples[0].modulus)
-        for data in out
-    ]
-
-
-def _tensor_coefficients(
-    axes: tuple[tuple[int, ...], ...],
-    lookup: dict[tuple[int, ...], Matrix],
-    field: PrimeModulus,
-) -> dict[tuple[int, ...], Matrix]:
-    """Coefficients of a multivariate polynomial sampled on a full grid.
-
-    Interpolates one axis at a time: leaves of the recursion are grid
-    samples, and each level replaces one point coordinate with a coefficient
-    index for that axis.
-    """
-
-    arity = len(axes)
-
-    def rec(prefix: tuple[int, ...]) -> dict[tuple[int, ...], Matrix]:
-        k = len(prefix)
-        if k == arity:
-            return {(): lookup[prefix]}
-        sub = [rec(prefix + (x,)) for x in axes[k]]
-        out: dict[tuple[int, ...], Matrix] = {}
-        for exp in sub[0]:
-            coeffs = interpolate_univariate(axes[k], [s[exp] for s in sub], field)
-            for e_k, mat in enumerate(coeffs):
-                out[(e_k,) + exp] = mat
-        return out
-
-    return rec(())
+    inverse = field_array(_lagrange_basis(tuple(points), q), q).T
+    return modmatmul(inverse, samples.reshape(n, -1), q).reshape(samples.shape)
 
 
 def decode_product(
@@ -349,8 +304,8 @@ def decode_product(
     """Interpolate task results and assemble the p0 x p2 product blocks.
 
     Multivariate kinds require results covering the Cartesian grid exactly
-    once.  epc only needs any R_th results at pairwise distinct points: a
-    single-variable interpolation works on whatever point set was used.
+    once, in any order.  epc only needs any R_th results at pairwise
+    distinct points: it interpolates on whatever point set was used.
     """
     rth = recovery_threshold(kind, p)
     if not results:
@@ -364,29 +319,30 @@ def decode_product(
         for r in results:
             if len(r.point) != 1:
                 raise PointArityError("epc task points have one coordinate")
-        xs = tuple(r.point[0] for r in results)
-        if len(results) != rth or len(set(xs)) != rth:
+        axes = (tuple(r.point[0] for r in results),)
+        if len(results) != rth or len(set(axes[0])) != rth:
             raise IncompleteResults(
                 f"epc needs {rth} results at distinct points, got {len(results)}"
             )
-        coeffs = interpolate_univariate(xs, [r.block for r in results], grid.modulus)
-
-        def coeff_at(exp: tuple[int, ...]) -> Matrix:
-            return coeffs[exp[0]]
-
+        samples = [r.block for r in results]
     else:
         lookup = {r.point: r.block for r in results}
         if len(lookup) != len(results) or set(lookup) != set(grid.tasks):
             raise IncompleteResults(
                 f"results must cover the {len(grid.tasks)}-task grid exactly once"
             )
-        tensor = _tensor_coefficients(grid.axes, lookup, grid.modulus)
+        axes = grid.axes
+        samples = [lookup[t] for t in grid.tasks]
 
-        def coeff_at(exp: tuple[int, ...]) -> Matrix:
-            return tensor[exp]
-
+    # Axis k of `coeffs` runs over the points of axis k until it is
+    # interpolated, and over that variable's exponents after.
+    coeffs = np.stack([s.data for s in samples]).reshape(tuple(map(len, axes)) + shape)
+    for k, points in enumerate(axes):
+        along = interpolate_univariate(points, np.moveaxis(coeffs, k, 0), grid.modulus)
+        coeffs = np.moveaxis(along, 0, k)
+    target = _CODES[kind].target
     out = [
-        [coeff_at(_CODES[kind].target(p, n0, n2)) for n2 in range(p.p2)]
+        [Matrix(*shape, coeffs[target(p, n0, n2)], grid.modulus) for n2 in range(p.p2)]
         for n0 in range(p.p0)
     ]
     return assemble_blocks(BlockGrid(out))

@@ -115,10 +115,30 @@ def test_multiply_one_by_one() -> None:
     assert matrix_multiply(a, b) == Matrix(1, 1, [1], F7)
 
 
-def test_multiply_matches_definition() -> None:
-    a = random_matrix(3, 4, F101, seed=7)
-    b = random_matrix(4, 2, F101, seed=8)
-    assert matrix_multiply(a, b).data == naive_product(a, b)
+@pytest.mark.parametrize("q", [101, 2**31 - 1, 2**61 - 1])
+def test_multiply_matches_definition(q: int) -> None:
+    # One modulus on each path of the kernel: int64 limbs and Python ints.
+    field = PrimeModulus(q)
+    a = random_matrix(3, 4, field, seed=7)
+    b = random_matrix(4, 2, field, seed=8)
+    assert matrix_multiply(a, b).data.ravel().tolist() == naive_product(a, b)
+
+
+@pytest.mark.parametrize("inner", [65536, 65537])
+def test_multiply_exact_at_limb_bound(inner: int) -> None:
+    # At q = 2^31 - 1 the 16-bit limb product peaks at
+    # (q - 1) * (2^16 + inner * (2^16 - 1)), which is below 2^63 for
+    # inner = 65536 and above it for 65537, so the two sizes run on the two
+    # sides of the kernel's path choice.  Row 0 is all q - 1; row 1 reaches
+    # the peak: every low limb is 2^16 - 1 and the high limbs sum to 1, so
+    # (hi @ b) mod q = q - 1 against a column of q - 1.
+    q = 2**31 - 1
+    field = PrimeModulus(q)
+    peak = [0x1FFFF] + [0xFFFF] * (inner - 1)
+    a = Matrix(2, inner, [q - 1] * inner + peak, field)
+    b = Matrix(inner, 1, [q - 1] * inner, field)
+    want = [inner * (q - 1) ** 2 % q, sum(peak) * (q - 1) % q]
+    assert matrix_multiply(a, b) == Matrix(2, 1, want, field)
 
 
 def test_multiply_rejects_mismatch() -> None:
@@ -184,7 +204,7 @@ def test_matrix_file_format(tmp_path) -> None:
     path.write_text("2 2 7\n0 1\n6 3\n")
     m = read_matrix(path)
     assert (m.rows, m.cols, m.modulus.q) == (2, 2, 7)
-    assert m.data == [0, 1, 6, 3]
+    assert m.data.ravel().tolist() == [0, 1, 6, 3]
 
 
 def test_matrix_file_rejects_out_of_range(tmp_path) -> None:

@@ -136,7 +136,7 @@ def test_multiply_stdout_round_trips(capsys, tmp_path):
     assert lines[0] == f"6 6 {DEFAULT_MODULUS}"
     direct = matrix_multiply(a, b)
     parsed = [int(tok) for line in lines[1:] for tok in line.split()]
-    assert parsed == direct.data
+    assert parsed == direct.data.ravel().tolist()
 
 
 def test_multiply_verify_passes(capsys, tmp_path):
@@ -207,7 +207,19 @@ def test_multiply_q_override_recomputes_in_that_field(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "6 6 101"
     parsed = [int(tok) for line in lines[1:] for tok in line.split()]
-    assert parsed == direct.data
+    assert parsed == direct.data.ravel().tolist()
+
+
+def test_multiply_rejects_pseudoprime_modulus_exits_one(capsys, tmp_path):
+    # A composite that passes the 12-base Miller-Rabin test; see test_ffield.
+    _, _, pa, pb = write_pair(tmp_path)
+    rc, out, err = run_cli(
+        capsys, "multiply", "--scheme", "epc",
+        "--p0", "1", "--p1", "1", "--p2", "1",
+        "--a", pa, "--b", pb, "--q", "318665857834031151167461", "--verify",
+    )
+    assert rc == 1
+    assert out == "" and "2^63" in err
 
 
 def test_multiply_field_too_small_exits_two(capsys, tmp_path):

@@ -31,6 +31,13 @@ def test_modulus_rejects_composite_and_tiny() -> None:
         PrimeModulus(0)
 
 
+def test_modulus_rejects_strong_pseudoprime_above_2_63() -> None:
+    # 399165290221 * 798330580441 passes Miller-Rabin for all 12 bases; the
+    # 2^63 cap keeps it, and every such number, out of the field.
+    with pytest.raises(ValueError):
+        PrimeModulus(318665857834031151167461)
+
+
 def test_large_modulus_products_exact() -> None:
     # Largest prime below 2^63.  Each entry of the product of two all-(q-1)
     # n x n matrices is n * (q-1)^2 = n (mod q), since (q-1)^2 = 1 (mod q).

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from coded_matmul.blockmat import (
@@ -25,6 +26,7 @@ from coded_matmul.blockmat import (
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.schemes import (
     CodedShare,
+    EvaluationGrid,
     FieldTooSmall,
     IncompleteResults,
     PointArityError,
@@ -154,14 +156,14 @@ def random_matrix(rows: int, cols: int, field: PrimeModulus, seed: int) -> Matri
     )
 
 
-def run_scheme(
+def task_results(
     kind: SchemeKind,
     p: PartitionScheme,
     a: Matrix,
     b: Matrix,
     field: PrimeModulus,
-) -> Matrix:
-    """Encode both inputs, multiply share pairs at every grid task, decode."""
+) -> tuple[EvaluationGrid, list[TaskResult]]:
+    """Encode both inputs and multiply share pairs at every grid task."""
     grid = evaluation_grid(kind, p, field)
     ga = partition_matrix(a, p.p0, p.p1)
     gb = partition_matrix(b, p.p1, p.p2)
@@ -170,6 +172,18 @@ def run_scheme(
         s0 = encode_block(kind, p, 0, ga, project_point(kind, 0, point))
         s1 = encode_block(kind, p, 1, gb, project_point(kind, 1, point))
         results.append(TaskResult(point, matrix_multiply(s0.block, s1.block)))
+    return grid, results
+
+
+def run_scheme(
+    kind: SchemeKind,
+    p: PartitionScheme,
+    a: Matrix,
+    b: Matrix,
+    field: PrimeModulus,
+) -> Matrix:
+    """Encode both inputs, multiply share pairs at every grid task, decode."""
+    grid, results = task_results(kind, p, a, b, field)
     return decode_product(kind, p, grid, results)
 
 
@@ -346,7 +360,7 @@ def test_encode_matches_symbolic_oracle_scalar_blocks() -> None:
                 proj = project_point(kind, input_id, point)
                 share = encode_block(kind, p, input_id, blocks, proj)
                 # oracle works on the full-arity point
-                assert share.block.data[0] == poly_eval(poly, point, q)
+                assert share.block.at(0, 0) == poly_eval(poly, point, q)
 
 
 def test_encode_is_linear() -> None:
@@ -429,18 +443,15 @@ def test_product_polynomial_structure(kind: SchemeKind, dims: tuple) -> None:
 
 
 def test_interpolate_constant() -> None:
-    c = Matrix(1, 1, [5], F7)
-    coeffs = interpolate_univariate((1, 2, 3), [c, c, c], F7)
-    assert coeffs[0] == c
-    assert coeffs[1] == Matrix.zeros(1, 1, F7)
-    assert coeffs[2] == Matrix.zeros(1, 1, F7)
+    c = np.array([[5]])
+    coeffs = interpolate_univariate((1, 2, 3), np.stack([c, c, c]), F7)
+    assert coeffs.tolist() == [[[5]], [[0]], [[0]]]
 
 
 def test_interpolate_line_by_hand() -> None:
     # 1 + 2x fits (1,3) and (2,5) in F_7
-    samples = [Matrix(1, 1, [3], F7), Matrix(1, 1, [5], F7)]
-    coeffs = interpolate_univariate((1, 2), samples, F7)
-    assert [c.data[0] for c in coeffs] == [1, 2]
+    coeffs = interpolate_univariate((1, 2), np.array([[[3]], [[5]]]), F7)
+    assert coeffs.ravel().tolist() == [1, 2]
 
 
 def test_interpolate_round_trip_degree_5() -> None:
@@ -452,15 +463,15 @@ def test_interpolate_round_trip_degree_5() -> None:
         acc = Matrix.zeros(2, 3, F101)
         for k, c in enumerate(coeffs):
             acc = acc + c.scale(pow(x, k, 101))
-        samples.append(acc)
-    recovered = interpolate_univariate(points, samples, F101)
-    assert recovered == coeffs
+        samples.append(acc.data)
+    recovered = interpolate_univariate(points, np.stack(samples), F101)
+    assert recovered.tolist() == [c.data.tolist() for c in coeffs]
 
 
 def test_interpolate_rejects_repeated_points() -> None:
-    c = Matrix(1, 1, [5], F7)
+    c = np.array([[5]])
     with pytest.raises(SingularSystem):
-        interpolate_univariate((1, 1, 2), [c, c, c], F7)
+        interpolate_univariate((1, 1, 2), np.stack([c, c, c]), F7)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +503,19 @@ def test_decode_exact_more_partitions(dims: tuple) -> None:
         assert run_scheme(kind, p, a, b, F101) == matrix_multiply(a, b)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_decode_accepts_results_in_any_order(kind: SchemeKind) -> None:
+    p = PartitionScheme(2, 3, 2)
+    a = random_matrix(4, 6, F101, seed=20)
+    b = random_matrix(6, 4, F101, seed=21)
+    grid, results = task_results(kind, p, a, b, F101)
+    shuffled = list(results)
+    random.Random(22).shuffle(shuffled)
+    assert shuffled != results
+    for order in (results[::-1], shuffled):
+        assert decode_product(kind, p, grid, order) == matrix_multiply(a, b)
+
+
 def test_decode_epc_arbitrary_points() -> None:
     # Decoding must not depend on using the default 1..R_th axis.
     p = PartitionScheme(2, 2, 2)
@@ -515,13 +539,7 @@ def test_decode_rejects_missing_and_duplicate_tasks() -> None:
     p = PartitionScheme(2, 2, 2)
     a = random_matrix(4, 4, F101, seed=18)
     b = random_matrix(4, 4, F101, seed=19)
-    ga, gb = partition_matrix(a, 2, 2), partition_matrix(b, 2, 2)
-    grid = evaluation_grid(SchemeKind.TRI, p, F101)
-    results = []
-    for point in grid.tasks:
-        s0 = encode_block(SchemeKind.TRI, p, 0, ga, project_point(SchemeKind.TRI, 0, point))
-        s1 = encode_block(SchemeKind.TRI, p, 1, gb, project_point(SchemeKind.TRI, 1, point))
-        results.append(TaskResult(point, matrix_multiply(s0.block, s1.block)))
+    grid, results = task_results(SchemeKind.TRI, p, a, b, F101)
     with pytest.raises(IncompleteResults):
         decode_product(SchemeKind.TRI, p, grid, results[:-1])
     with pytest.raises(IncompleteResults):
