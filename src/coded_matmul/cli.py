@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -27,11 +28,11 @@ from .blockmat import (
     write_matrix,
 )
 from .ffield import PrimeModulus
-from .optimizer import Infeasible, SimTemplate, render_tradeoff_csv, tradeoff_curve
+from .optimizer import Infeasible, render_tradeoff_csv, tradeoff_curve
 from .overheads import compute_overheads
 from .runtime import InjectedDelay, JobFailed, JobSpec, render_trace_csv, run_job
 from .schemes import FieldTooSmall, SchemeKind, recovery_threshold
-from .straggler_sim import SimConfig, StragglerModel, estimate_mean_latency
+from .straggler_sim import SimTemplate, estimate_mean_latency
 
 _ALL_KINDS = [SchemeKind.EPC, SchemeKind.BI0, SchemeKind.BI2, SchemeKind.TRI]
 
@@ -58,15 +59,15 @@ def _positive_int(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {value}")
     return value
 
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
     return value
 
 
@@ -230,18 +231,16 @@ def _cmd_multiply(args) -> int:
     return 0
 
 
+def _sim_template(args) -> SimTemplate:
+    """The one straggler model `simulate` and `tradeoff` both read."""
+    return SimTemplate(N=args.workers, T0=args.t0, lam=1.0 / args.lambda_inv,
+                       trials=args.trials, seed=args.seed)
+
+
 def _cmd_simulate(args) -> int:
-    kind = SchemeKind.parse(args.scheme)
     p = _partition(args)
-    model = StragglerModel(T0=args.t0, lam=1.0 / args.lambda_inv, K=p.K)
-    cfg = SimConfig(
-        N=args.workers,
-        R_th=recovery_threshold(kind, p),
-        model=model,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    est = estimate_mean_latency(cfg)
+    R_th = recovery_threshold(SchemeKind.parse(args.scheme), p)
+    est = estimate_mean_latency(_sim_template(args), R_th, p.K)
     print(f"mean_latency {est.mean!r}")
     print(f"stderr {est.stderr!r}")
     return 0
@@ -262,19 +261,12 @@ def _cmd_tradeoff(args) -> int:
     if not kinds:
         raise _UsageError("empty scheme list")
     budgets = _parse_budget_list(args.budgets)
-    sim = SimTemplate(
-        N=args.workers,
-        T0=args.t0,
-        lam=1.0 / args.lambda_inv,
-        trials=args.trials,
-        seed=args.seed,
-    )
     rows = tradeoff_curve(
         kinds,
         budgets,
         p0_cap=args.p0_cap,
         p2_cap=args.p2_cap,
-        sim=sim,
+        sim=_sim_template(args),
         force_p1_single=args.force_p1_1,
     )
     text = render_tradeoff_csv(rows)

@@ -8,13 +8,15 @@ delta_d >= p1 - 1, so any p1 above floor(budget_d) + 1 is infeasible and
 the cap is derived.  With no download budget, an explicit p1 cap is
 required to keep the box finite.
 
-Each search draws one pooled completion table, up to the largest R_th of
-its candidates, and reads each candidate's trial latencies off it as column
-R_th - 1 over K.  A column does not depend on how far the table was drawn,
-so a candidate gets the same estimate in every search and from
-`estimate_mean_latency`.  Cross-budget comparisons are therefore exact: a
-larger budget's feasible set contains the smaller one's, and the minimum
-over a superset of identical values cannot increase.
+Every candidate is simulated under one `straggler_sim.SimTemplate`, the
+model `coded-matmul simulate` reads too.  Each search draws one pooled
+completion table, up to the largest R_th of its candidates, and reads each
+candidate's trial latencies off it as column R_th - 1 over K.  A column
+does not depend on how far the table was drawn, so a candidate gets the
+same estimate in every search and from `estimate_mean_latency(sim, R_th,
+K)`.  Cross-budget comparisons are therefore exact: a larger budget's
+feasible set contains the smaller one's, and the minimum over a superset
+of identical values cannot increase.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from .blockmat import PartitionScheme
 from .overheads import OverheadReport, compute_overheads
 from .schemes import SchemeKind, recovery_threshold
-from .straggler_sim import LatencyEstimate, completion_table, summarize
+from .straggler_sim import LatencyEstimate, SimTemplate, completion_table, summarize
 
 
 class Infeasible(ValueError):
@@ -40,29 +42,6 @@ def _as_budget(value) -> Fraction | None:
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
-
-
-@dataclass(frozen=True)
-class SimTemplate:
-    """Simulation parameters shared by every scheme the search tries.
-
-    T0 and lam describe the whole unpartitioned task; each candidate scheme
-    scales them by its own partition level K.
-    """
-
-    N: int
-    T0: float
-    lam: float
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.N < 1 or self.trials < 1:
-            raise ValueError(f"N and trials must be >= 1, got {self}")
-        if self.T0 < 0:
-            raise ValueError(f"T0 must be >= 0, got {self.T0}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -146,10 +125,9 @@ def search_best_partition(spec: SearchSpec) -> SearchResult:
     feasible = feasible_partitions(spec)
     if not feasible:
         raise Infeasible(f"no feasible partition for {spec.kind.value} within budgets")
-    sim = spec.sim
     rths = [recovery_threshold(spec.kind, p) for p in feasible]
     ranks = sorted(set(rths))
-    table = completion_table(sim.N, sim.T0, sim.lam, sim.trials, sim.seed, ranks)
+    table = completion_table(spec.sim, ranks)
     column = {r: j for j, r in enumerate(ranks)}
     best_key = None
     best: tuple[PartitionScheme, LatencyEstimate] | None = None

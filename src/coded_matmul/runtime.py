@@ -24,6 +24,7 @@ the trace timestamps.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -57,15 +58,16 @@ class InjectedDelay:
 
     Same shape as the simulator's subtask model, scaled to wall-clock
     milliseconds so traces and simulated latencies are comparable.
-    lam_inv_ms = 0 disables the exponential tail.
+    lam_inv_ms = 0 disables the exponential tail, which is why this stays a
+    mean and not the simulator's rate.
     """
 
     t0_ms: float
     lam_inv_ms: float
 
     def __post_init__(self) -> None:
-        if self.t0_ms < 0 or self.lam_inv_ms < 0:
-            raise ValueError("delay parameters must be >= 0")
+        if not (0 <= self.t0_ms < math.inf and 0 <= self.lam_inv_ms < math.inf):
+            raise ValueError("delay parameters must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -150,15 +152,18 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         for tid, point in enumerate(grid.tasks)
     ]
 
+    # Start no thread for workers past the task count: none would get a
+    # task.  Static task i goes to worker i mod workers, below n_threads.
+    n_threads = min(spec.workers, len(tasks))
     if spec.mode == "dynamic":
         shared: queue.Queue = queue.Queue()
         for t in tasks:
             shared.put(t)
-        for _ in range(spec.workers):
+        for _ in range(n_threads):
             shared.put(None)
-        inboxes = [shared] * spec.workers
+        inboxes = [shared] * n_threads
     else:
-        inboxes = [queue.Queue() for _ in range(spec.workers)]
+        inboxes = [queue.Queue() for _ in range(n_threads)]
         for t in tasks:
             inboxes[t[0] % spec.workers].put(t)
         for box in inboxes:
@@ -196,7 +201,7 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
 
     threads = [
         threading.Thread(target=worker_loop, args=(wid, inboxes[wid]), daemon=True)
-        for wid in range(spec.workers)
+        for wid in range(n_threads)
     ]
     for t in threads:
         t.start()
@@ -207,7 +212,7 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     per_worker = {wid: 0 for wid in range(spec.workers)}
     first_error: str | None = None
     exited = 0
-    while len(results) < need and exited < spec.workers:
+    while len(results) < need and exited < n_threads:
         msg = outbox.get()
         if msg[0] == "result":
             _, wid, tid, point, product, start, end = msg

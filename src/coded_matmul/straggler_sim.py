@@ -6,6 +6,10 @@ lam*K.  The job finishes when R_th subtasks are done across all workers,
 whichever workers they came from.  The estimator returns the mean of that
 completion instant over independent trials, with its standard error.
 
+`SimTemplate` is the one description of the model: N, and T0 and lam at
+K = 1, with the trial count and seed.  K and R_th are applied where the
+pooled completion table is read.
+
 Determinism contract: trial i draws from a PCG64 stream seeded by the pair
 (seed, i), so results are bit-stable for a given config, early trials are
 unchanged when the trial count grows, and trials could run in any order.
@@ -22,33 +26,22 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class StragglerModel:
-    """Shifted-exponential subtask time: T0/K + Exp(lam*K)."""
+class SimTemplate:
+    """The straggler model of the unpartitioned task, and its trial settings."""
 
+    N: int
     T0: float
     lam: float
-    K: int
-
-    def __post_init__(self) -> None:
-        if self.T0 < 0:
-            raise ValueError(f"T0 must be >= 0, got {self.T0}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    N: int
-    R_th: int
-    model: StragglerModel
     trials: int
     seed: int
 
     def __post_init__(self) -> None:
-        if self.N < 1 or self.R_th < 1 or self.trials < 1:
-            raise ValueError(f"N, R_th, trials must all be >= 1, got {self}")
+        if self.N < 1 or self.trials < 1:
+            raise ValueError(f"N and trials must be >= 1, got {self}")
+        if not 0 <= self.T0 < math.inf:
+            raise ValueError(f"T0 must be >= 0 and finite, got {self.T0}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be > 0 and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +49,6 @@ class LatencyEstimate:
     mean: float
     stderr: float
     trials: int
-
-
-def sample_subtask_time(model: StragglerModel, rng: np.random.Generator) -> float:
-    """One subtask completion time: the T0/K shift plus an Exp(lam*K) tail."""
-    return model.T0 / model.K + rng.standard_exponential() / (model.lam * model.K)
 
 
 def pooled_completions(
@@ -87,22 +75,21 @@ def pooled_completions(
         comp = np.concatenate([comp, comp[:, -1:] + np.cumsum(steps, axis=1)], axis=1)
 
 
-def completion_table(
-    N: int, T0: float, lam: float, trials: int, seed: int, ranks: list[int]
-) -> np.ndarray:
+def completion_table(sim: SimTemplate, ranks: list[int]) -> np.ndarray:
     """Row i, column j: trial i's ranks[j]-th pooled completion at K = 1.
     Trial i draws from PCG64(SeedSequence((seed, i))), up to the largest rank."""
-    R, cols, out = max(ranks), np.asarray(ranks) - 1, np.empty((trials, len(ranks)))
-    for i in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        out[i] = pooled_completions(N, R, T0, lam, rng)[cols]
+    R, cols, out = max(ranks), np.asarray(ranks) - 1, np.empty((sim.trials, len(ranks)))
+    for i in range(sim.trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((sim.seed, i))))
+        out[i] = pooled_completions(sim.N, R, sim.T0, sim.lam, rng)[cols]
     return out
 
 
-def trial_latencies(cfg: SimConfig) -> np.ndarray:
-    """All per-trial latency samples, one independent RNG stream per trial."""
-    m = cfg.model
-    return completion_table(cfg.N, m.T0, m.lam, cfg.trials, cfg.seed, [cfg.R_th])[:, 0] / m.K
+def trial_latencies(sim: SimTemplate, R_th: int, K: int) -> np.ndarray:
+    """Per-trial instants of the R_th-th completed subtask at partition level K."""
+    if R_th < 1 or K < 1:
+        raise ValueError(f"R_th and K must be >= 1, got R_th={R_th}, K={K}")
+    return completion_table(sim, [R_th])[:, 0] / K
 
 
 def summarize(samples: np.ndarray) -> LatencyEstimate:
@@ -113,5 +100,5 @@ def summarize(samples: np.ndarray) -> LatencyEstimate:
     return LatencyEstimate(float(samples.mean()), stderr, len(samples))
 
 
-def estimate_mean_latency(cfg: SimConfig) -> LatencyEstimate:
-    return summarize(trial_latencies(cfg))
+def estimate_mean_latency(sim: SimTemplate, R_th: int, K: int) -> LatencyEstimate:
+    return summarize(trial_latencies(sim, R_th, K))

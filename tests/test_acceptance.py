@@ -15,12 +15,7 @@ from fractions import Fraction
 
 from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply, partition_matrix
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
-from coded_matmul.optimizer import (
-    SearchSpec,
-    SimTemplate,
-    feasible_partitions,
-    tradeoff_curve,
-)
+from coded_matmul.optimizer import SearchSpec, feasible_partitions, tradeoff_curve
 from coded_matmul.overheads import compute_overheads
 from coded_matmul.runtime import InjectedDelay, JobSpec, run_job
 from coded_matmul.schemes import (
@@ -34,8 +29,7 @@ from coded_matmul.schemes import (
 )
 from coded_matmul.straggler_sim import (
     LatencyEstimate,
-    SimConfig,
-    StragglerModel,
+    SimTemplate,
     estimate_mean_latency,
     trial_latencies,
 )
@@ -140,24 +134,22 @@ def test_simulator_calibration():
     started = time.perf_counter()
 
     # (a) one worker, one subtask, no partitioning: plain shifted exponential
-    model = StragglerModel(T0=1.0, lam=0.5, K=1)
-    est = estimate_mean_latency(SimConfig(N=1, R_th=1, model=model, trials=10**4, seed=11))
+    sim = SimTemplate(N=1, T0=1.0, lam=0.5, trials=10**4, seed=11)
+    est = estimate_mean_latency(sim, R_th=1, K=1)
     expect = 1.0 + 1.0 / 0.5
     assert abs(est.mean - expect) <= 3 * est.stderr
 
     # (b) zero shift: pooled completions form a Poisson stream of rate N*lam*K,
     # so the R_th-th completion has mean exactly R_th/(N*lam*K)
     for n, r_th, k in ((5, 20, 4), (300, 900, 8)):
-        model = StragglerModel(T0=0.0, lam=1.0, K=k)
-        est = estimate_mean_latency(
-            SimConfig(N=n, R_th=r_th, model=model, trials=10**4, seed=13)
-        )
+        sim = SimTemplate(N=n, T0=0.0, lam=1.0, trials=10**4, seed=13)
+        est = estimate_mean_latency(sim, R_th=r_th, K=k)
         expect = r_th / (n * 1.0 * k)
         assert abs(est.mean - expect) <= 3 * est.stderr, (n, r_th, k)
 
     # (c) hard floor: someone must finish ceil(R_th/N) subtasks of >= T0/K each
-    model = StragglerModel(T0=2.0, lam=1.0, K=5)
-    samples = trial_latencies(SimConfig(N=7, R_th=23, model=model, trials=2000, seed=17))
+    sim = SimTemplate(N=7, T0=2.0, lam=1.0, trials=2000, seed=17)
+    samples = trial_latencies(sim, R_th=23, K=5)
     floor = -(-23 // 7) * 2.0 / 5
     assert samples.min() >= floor - 1e-12
 
@@ -246,9 +238,7 @@ def test_latency_ordering_across_budgets():
         assert w in feasible_partitions(spec), (
             f"budget {float(b)}: witness {kind.value} ({w.p0},1,{w.p2}) infeasible"
         )
-        model = StragglerModel(sim.T0, sim.lam, w.K)
-        r_th = recovery_threshold(kind, w)
-        est = estimate_mean_latency(SimConfig(sim.N, r_th, model, sim.trials, sim.seed))
+        est = estimate_mean_latency(sim, recovery_threshold(kind, w), w.K)
         return est, f"witness {label(kind, w, est)}"
 
     def judge(b, slow_rows, fast_row):

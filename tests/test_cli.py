@@ -103,6 +103,39 @@ def test_usage_errors_exit_one(capsys):
         assert err != ""
 
 
+_MODEL_ARGV = {
+    "simulate": ["simulate", "--scheme", "epc", "--p0", "1", "--p1", "1", "--p2", "1",
+                 "--workers", "2", "--lambda-inv", "2", "--t0", "1", "--trials", "5"],
+    "tradeoff": ["tradeoff", "--schemes", "epc", "--budgets", "1", "--workers", "2",
+                 "--lambda-inv", "2", "--t0", "1", "--p0-cap", "1", "--p2-cap", "1",
+                 "--trials", "5"],
+    "run": ["run", "--scheme", "epc", "--p0", "1", "--p1", "1", "--p2", "1",
+            "--workers", "1", "--a", "a.mat", "--b", "b.mat"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--t0", "nan"),
+        ("simulate", "--t0", "inf"),
+        ("simulate", "--lambda-inv", "nan"),
+        ("simulate", "--lambda-inv", "inf"),
+        ("tradeoff", "--t0", "nan"),
+        ("tradeoff", "--lambda-inv", "nan"),
+        ("run", "--inject-t0", "nan"),
+        ("run", "--inject-t0", "inf"),
+        ("run", "--inject-lambda-inv", "nan"),
+    ],
+)
+def test_non_finite_model_values_exit_one(capsys, command, flag, value):
+    # A NaN would make the simulator draw without bound and the runtime
+    # skip its sleep; an infinite sleep overflows.
+    rc, out, err = run_cli(capsys, *_MODEL_ARGV[command], flag, value)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and f"argument {flag}" in err and "finite" in err
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run_cli(capsys, "--help")
     assert rc == 0
@@ -253,6 +286,23 @@ def test_simulate_output_and_anchor(capsys):
 
     rc2, out2, _ = run_cli(capsys, *argv)
     assert rc2 == 0 and out2 == out
+
+
+def test_simulate_prints_the_tradeoff_row(capsys):
+    model = ["--workers", "20", "--lambda-inv", "10", "--t0", "1",
+             "--trials", "50", "--seed", "3"]
+    rc, out, _ = run_cli(capsys, "tradeoff", "--schemes", "all", "--budgets", "0.5,2",
+                         "--p0-cap", "3", "--p2-cap", "3", *model)
+    assert rc == 0
+    header = TRADEOFF_CSV_HEADER.split(",")
+    rows = [dict(zip(header, line.split(","))) for line in out.splitlines()[1:]]
+    feasible = [row for row in rows if row["feasible"] == "true"]
+    assert len(feasible) == len(rows) == 8
+    for row in feasible:
+        rc, out, _ = run_cli(capsys, "simulate", "--scheme", row["scheme"], "--p0", row["p0"],
+                             "--p1", row["p1"], "--p2", row["p2"], *model)
+        assert rc == 0
+        assert out == f"mean_latency {row['mean_latency']}\nstderr {row['stderr']}\n", row
 
 
 # -- tradeoff ----------------------------------------------------------------

@@ -27,7 +27,7 @@ from coded_matmul.optimizer import (
     tradeoff_curve,
 )
 from coded_matmul.schemes import SchemeKind, recovery_threshold
-from coded_matmul.straggler_sim import SimConfig, StragglerModel, estimate_mean_latency
+from coded_matmul.straggler_sim import estimate_mean_latency
 
 ALL_KINDS = list(SchemeKind)
 
@@ -241,25 +241,7 @@ def test_search_latency_equals_standalone_estimate(kind: SchemeKind) -> None:
     res = search_best_partition(spec)
     deepest = max(recovery_threshold(kind, p) for p in feasible_partitions(spec))
     assert res.report.R_th < deepest
-    cfg = SimConfig(
-        N=sim.N,
-        R_th=res.report.R_th,
-        model=StragglerModel(T0=sim.T0, lam=sim.lam, K=res.best.K),
-        trials=sim.trials,
-        seed=sim.seed,
-    )
-    assert res.latency == estimate_mean_latency(cfg)
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [("T0", -1.0, "T0 must be >= 0"), ("lam", 0.0, "lam must be > 0")],
-)
-def test_sim_template_rejects_bad_model(field: str, value: float, message: str) -> None:
-    params = dict(N=5, T0=1.0, lam=0.1, trials=10, seed=0)
-    params[field] = value
-    with pytest.raises(ValueError, match=message):
-        SimTemplate(**params)
+    assert res.latency == estimate_mean_latency(sim, res.report.R_th, res.best.K)
 
 
 def test_tradeoff_rows_and_exact_budget_monotonicity() -> None:

@@ -8,8 +8,10 @@ against each other, never wall-clock absolutes.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
+import threading
 
 import pytest
 
@@ -142,6 +144,59 @@ def test_worker_failure_raises_job_failed(monkeypatch) -> None:
     assert len(trace.records) < rth
 
 
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+def test_threads_capped_at_task_count(monkeypatch, mode: str) -> None:
+    import coded_matmul.runtime as rt
+
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self) -> None:
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(rt.threading, "Thread", CountingThread)
+    for kind in ALL_KINDS:
+        started.clear()
+        spec = make_spec(
+            kind,
+            p=PartitionScheme(1, 1, 1),
+            M0=random_matrix(3, 3, FBIG, 3),
+            M1=random_matrix(3, 3, FBIG, 4),
+            workers=64,
+            mode=mode,
+        )
+        out, trace = run_job(spec)
+        assert out == matrix_multiply(spec.M0, spec.M1)
+        assert 1 <= len(started) <= len(trace.records), kind
+        assert set(trace.per_worker_counts) == set(range(64))
+        assert sum(trace.per_worker_counts.values()) == len(trace.records)
+
+
+def test_every_task_failing_with_surplus_workers_raises(monkeypatch) -> None:
+    # 64 workers, 12 tasks: the coordinator must stop waiting once the
+    # threads it started have exited, not wait for 64 exits.
+    import coded_matmul.runtime as rt
+
+    def broken(a, b):
+        raise RuntimeError("worker blew up")
+
+    monkeypatch.setattr(rt, "matrix_multiply", broken)
+    raised = []
+
+    def attempt() -> None:
+        with pytest.raises(JobFailed) as exc_info:
+            run_job(make_spec(SchemeKind.TRI, workers=64))
+        raised.append(exc_info.value)
+
+    waiter = threading.Thread(target=attempt, daemon=True)
+    waiter.start()
+    waiter.join(timeout=20.0)
+    assert not waiter.is_alive()
+    assert len(raised) == 1
+    assert raised[0].trace.records == []
+
+
 def test_dynamic_beats_static_with_skewed_worker() -> None:
     # Quick version of the paired comparison: one worker 10x slower.
     factors = (10.0,) + (1.0,) * 7
@@ -168,6 +223,9 @@ def test_validation() -> None:
         make_spec(SchemeKind.TRI, mode="eager")
     with pytest.raises(ValueError):
         make_spec(SchemeKind.TRI, worker_delay_factors=(1.0, 2.0))  # wrong length
+    for t0_ms, lam_inv_ms in [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (-1.0, 0.0)]:
+        with pytest.raises(ValueError, match="delay parameters must be >= 0 and finite"):
+            InjectedDelay(t0_ms, lam_inv_ms)
     with pytest.raises(ValueError):
         run_job(
             make_spec(

@@ -16,23 +16,21 @@ import pytest
 
 from coded_matmul.straggler_sim import (
     LatencyEstimate,
-    SimConfig,
-    StragglerModel,
+    SimTemplate,
     completion_table,
     estimate_mean_latency,
     pooled_completions,
-    sample_subtask_time,
     trial_latencies,
 )
 
 
 def heap_merge_once(
-    N: int, R_th: int, model: StragglerModel, rng: np.random.Generator
+    sim: SimTemplate, R_th: int, K: int, rng: np.random.Generator
 ) -> float:
     """Event-merge reference: pop the earliest next-completion, refill, repeat."""
-    shift = model.T0 / model.K
-    scale = 1.0 / (model.lam * model.K)
-    heap = [shift + rng.standard_exponential() * scale for _ in range(N)]
+    shift = sim.T0 / K
+    scale = 1.0 / (sim.lam * K)
+    heap = [shift + rng.standard_exponential() * scale for _ in range(sim.N)]
     heapq.heapify(heap)
     done = 0
     while True:
@@ -43,42 +41,57 @@ def heap_merge_once(
         heapq.heappush(heap, t + shift + rng.standard_exponential() * scale)
 
 
+def subtask_times(T0: float, lam: float, K: int, n: int, rng) -> np.ndarray:
+    """n successive subtask times at level K: one worker's completion
+    instants, differenced and divided by K."""
+    return np.diff(pooled_completions(1, n, T0, lam, rng), prepend=0.0) / K
+
+
 def test_model_validation() -> None:
-    with pytest.raises(ValueError):
-        StragglerModel(T0=-1.0, lam=1.0, K=1)
-    with pytest.raises(ValueError):
-        StragglerModel(T0=1.0, lam=0.0, K=1)
-    with pytest.raises(ValueError):
-        StragglerModel(T0=1.0, lam=1.0, K=0)
-    with pytest.raises(ValueError):
-        SimConfig(N=0, R_th=1, model=StragglerModel(1.0, 1.0, 1), trials=1, seed=0)
-    with pytest.raises(ValueError):
-        SimConfig(N=1, R_th=0, model=StragglerModel(1.0, 1.0, 1), trials=1, seed=0)
+    good = dict(N=5, T0=1.0, lam=0.1, trials=10, seed=0)
+    for field, value, message in [
+        ("T0", -1.0, "T0 must be >= 0"),
+        ("T0", math.nan, "T0 must be >= 0 and finite"),
+        ("T0", math.inf, "T0 must be >= 0 and finite"),
+        ("lam", 0.0, "lam must be > 0"),
+        ("lam", math.nan, "lam must be > 0 and finite"),
+        ("lam", math.inf, "lam must be > 0 and finite"),
+        ("N", 0, "N and trials must be >= 1"),
+        ("trials", 0, "N and trials must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SimTemplate(**{**good, field: value})
+    sim = SimTemplate(**good)
+    with pytest.raises(ValueError, match="R_th and K must be >= 1"):
+        trial_latencies(sim, R_th=0, K=1)
+    with pytest.raises(ValueError, match="R_th and K must be >= 1"):
+        estimate_mean_latency(sim, R_th=1, K=0)
 
 
 def test_sample_never_below_shift() -> None:
-    model = StragglerModel(T0=2.0, lam=0.5, K=4)
+    T0, lam, K = 2.0, 0.5, 4
     rng = np.random.default_rng(0)
-    draws = [sample_subtask_time(model, rng) for _ in range(1000)]
-    assert min(draws) >= model.T0 / model.K
+    draws = subtask_times(T0, lam, K, 1000, rng)
+    assert len(draws) == 1000
+    assert min(draws) >= T0 / K
 
 
 def test_sample_mean_matches_analytic() -> None:
-    model = StragglerModel(T0=2.0, lam=0.5, K=4)
+    T0, lam, K = 2.0, 0.5, 4
     rng = np.random.default_rng(1)
     n = 10**5
-    draws = np.array([sample_subtask_time(model, rng) for _ in range(n)])
-    expected = model.T0 / model.K + 1.0 / (model.lam * model.K)
+    draws = subtask_times(T0, lam, K, n, rng)
+    expected = T0 / K + 1.0 / (lam * K)
     se = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean() - expected) <= 3 * se
 
 
 def test_sample_cdf_point() -> None:
     # T0=0, lam*K=1: P(T <= 1) = 1 - e^-1
-    model = StragglerModel(T0=0.0, lam=0.5, K=2)
+    T0, lam, K = 0.0, 0.5, 2
     rng = np.random.default_rng(2)
     n = 10**5
-    draws = np.array([sample_subtask_time(model, rng) for _ in range(n)])
+    draws = subtask_times(T0, lam, K, n, rng)
     p_hat = float((draws <= 1.0).mean())
     p = 1.0 - math.exp(-1.0)
     sigma = math.sqrt(p * (1 - p) / n)
@@ -86,60 +99,55 @@ def test_sample_cdf_point() -> None:
 
 
 def test_single_worker_single_task_mean() -> None:
-    model = StragglerModel(T0=1.0, lam=0.1, K=1)
-    cfg = SimConfig(N=1, R_th=1, model=model, trials=10**4, seed=3)
-    est = estimate_mean_latency(cfg)
-    expected = model.T0 + 1.0 / model.lam  # 11.0
+    sim = SimTemplate(N=1, T0=1.0, lam=0.1, trials=10**4, seed=3)
+    est = estimate_mean_latency(sim, R_th=1, K=1)
+    expected = sim.T0 + 1.0 / sim.lam  # 11.0
     assert abs(est.mean - expected) <= 3 * est.stderr
 
 
 def test_single_worker_many_tasks_no_shift() -> None:
     # Sum of r Exp(lam*K) draws has mean r / (lam*K).
-    model = StragglerModel(T0=0.0, lam=0.5, K=4)
-    cfg = SimConfig(N=1, R_th=12, model=model, trials=4000, seed=4)
-    est = estimate_mean_latency(cfg)
+    sim = SimTemplate(N=1, T0=0.0, lam=0.5, trials=4000, seed=4)
+    est = estimate_mean_latency(sim, R_th=12, K=4)
     assert abs(est.mean - 12 / (0.5 * 4)) <= 3 * est.stderr
 
 
 def test_many_workers_no_shift_superposition() -> None:
     # N independent completion streams of rate lam*K merge into one of rate
     # N*lam*K, so the R_th-th event lands at R_th / (N lam K) on average.
-    model = StragglerModel(T0=0.0, lam=2.0, K=4)
-    cfg = SimConfig(N=5, R_th=20, model=model, trials=4000, seed=5)
-    est = estimate_mean_latency(cfg)
+    sim = SimTemplate(N=5, T0=0.0, lam=2.0, trials=4000, seed=5)
+    est = estimate_mean_latency(sim, R_th=20, K=4)
     assert abs(est.mean - 20 / (5 * 2.0 * 4)) <= 3 * est.stderr
 
 
 def test_agrees_with_event_merge_reference() -> None:
     # Full-scale config with zero computation overhead (K = R_th).
-    model = StragglerModel(T0=1.0, lam=0.1, K=300)
     trials = 10**4
-    cfg = SimConfig(N=300, R_th=300, model=model, trials=trials, seed=60)
-    est = estimate_mean_latency(cfg)
+    sim = SimTemplate(N=300, T0=1.0, lam=0.1, trials=trials, seed=60)
+    est = estimate_mean_latency(sim, R_th=300, K=300)
     rng = np.random.default_rng(11111)
-    ref = np.array([heap_merge_once(300, 300, model, rng) for _ in range(trials)])
+    ref = np.array([heap_merge_once(sim, 300, 300, rng) for _ in range(trials)])
     ref_se = ref.std(ddof=1) / math.sqrt(trials)
     combined = math.hypot(est.stderr, ref_se)
     assert abs(est.mean - ref.mean()) <= 3 * combined
 
 
 def test_mean_nonincreasing_in_workers() -> None:
-    model = StragglerModel(T0=1.0, lam=0.5, K=8)
-    a = estimate_mean_latency(SimConfig(N=10, R_th=40, model=model, trials=3000, seed=7))
-    b = estimate_mean_latency(SimConfig(N=20, R_th=40, model=model, trials=3000, seed=8))
+    a = estimate_mean_latency(SimTemplate(N=10, T0=1.0, lam=0.5, trials=3000, seed=7), 40, 8)
+    b = estimate_mean_latency(SimTemplate(N=20, T0=1.0, lam=0.5, trials=3000, seed=8), 40, 8)
     combined = math.hypot(a.stderr, b.stderr)
     assert a.mean >= b.mean - 3 * combined
 
 
 def test_sample_lower_bound() -> None:
     # Someone must finish ceil(R_th/N) tasks, each costing at least T0/K.
-    model = StragglerModel(T0=3.0, lam=5.0, K=4)
+    T0, lam, K = 3.0, 5.0, 4
     N, R_th = 4, 10
-    bound = math.ceil(R_th / N) * model.T0 / model.K
+    bound = math.ceil(R_th / N) * T0 / K
     for i in range(200):
         rng = np.random.default_rng(100 + i)
-        pooled = pooled_completions(N, R_th, model.T0, model.lam, rng)
-        assert pooled[-1] / model.K >= bound
+        pooled = pooled_completions(N, R_th, T0, lam, rng)
+        assert pooled[-1] / K >= bound
 
 
 @pytest.mark.parametrize(
@@ -169,39 +177,37 @@ def test_prefix_does_not_depend_on_draw_depth(N: int, r: int, R: int) -> None:
 
 
 def test_table_columns_do_not_depend_on_other_ranks() -> None:
-    full = completion_table(5, 0.5, 2.0, 30, 21, [1, 9, 60])
+    sim = SimTemplate(N=5, T0=0.5, lam=2.0, trials=30, seed=21)
+    full = completion_table(sim, [1, 9, 60])
     for j, rank in enumerate([1, 9, 60]):
-        alone = completion_table(5, 0.5, 2.0, 30, 21, [rank])
+        alone = completion_table(sim, [rank])
         assert np.array_equal(alone[:, 0], full[:, j])
 
 
 def test_latencies_are_table_column_over_k() -> None:
-    model = StragglerModel(T0=1.0, lam=0.2, K=6)
-    cfg = SimConfig(N=7, R_th=30, model=model, trials=40, seed=12)
-    table = completion_table(7, 1.0, 0.2, 40, 12, [30, 45])
-    assert np.array_equal(trial_latencies(cfg), table[:, 0] / 6)
+    sim = SimTemplate(N=7, T0=1.0, lam=0.2, trials=40, seed=12)
+    table = completion_table(sim, [30, 45])
+    assert np.array_equal(trial_latencies(sim, R_th=30, K=6), table[:, 0] / 6)
 
 
 def test_deterministic_given_seed() -> None:
-    model = StragglerModel(T0=1.0, lam=0.2, K=6)
-    cfg = SimConfig(N=7, R_th=30, model=model, trials=500, seed=9)
-    a = estimate_mean_latency(cfg)
-    b = estimate_mean_latency(cfg)
+    sim = SimTemplate(N=7, T0=1.0, lam=0.2, trials=500, seed=9)
+    a = estimate_mean_latency(sim, R_th=30, K=6)
+    b = estimate_mean_latency(sim, R_th=30, K=6)
     assert a == b
 
 
 def test_doubling_trials_keeps_prefix() -> None:
-    model = StragglerModel(T0=1.0, lam=0.2, K=6)
-    short = SimConfig(N=7, R_th=30, model=model, trials=50, seed=10)
-    long = SimConfig(N=7, R_th=30, model=model, trials=100, seed=10)
-    a = trial_latencies(short)
-    b = trial_latencies(long)
+    short = SimTemplate(N=7, T0=1.0, lam=0.2, trials=50, seed=10)
+    long = SimTemplate(N=7, T0=1.0, lam=0.2, trials=100, seed=10)
+    a = trial_latencies(short, R_th=30, K=6)
+    b = trial_latencies(long, R_th=30, K=6)
     assert np.array_equal(a, b[:50])
 
 
 def test_single_trial_stderr_zero() -> None:
-    model = StragglerModel(T0=1.0, lam=0.2, K=2)
-    est = estimate_mean_latency(SimConfig(N=3, R_th=5, model=model, trials=1, seed=11))
+    sim = SimTemplate(N=3, T0=1.0, lam=0.2, trials=1, seed=11)
+    est = estimate_mean_latency(sim, R_th=5, K=2)
     assert isinstance(est, LatencyEstimate)
     assert est.stderr == 0.0
     assert est.trials == 1
