@@ -244,6 +244,17 @@ def test_search_latency_equals_standalone_estimate(kind: SchemeKind) -> None:
     assert res.latency == estimate_mean_latency(sim, res.report.R_th, res.best.K)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("T0", -1.0, "T0 must be >= 0"), ("lam", 0.0, "lam must be > 0")],
+)
+def test_sim_template_rejects_bad_model(field: str, value: float, message: str) -> None:
+    params = dict(N=5, T0=1.0, lam=0.1, trials=10, seed=0)
+    params[field] = value
+    with pytest.raises(ValueError, match=message):
+        SimTemplate(**params)
+
+
 def test_tradeoff_rows_and_exact_budget_monotonicity() -> None:
     budgets = [Fraction(0), Fraction(1), Fraction(2), Fraction(4)]
     rows = tradeoff_curve(ALL_KINDS, budgets, p0_cap=3, p2_cap=3, sim=SIM)
