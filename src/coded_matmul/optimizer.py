@@ -9,25 +9,29 @@ the cap is derived.  With no download budget, an explicit p1 cap is
 required to keep the box finite.
 
 Every candidate is simulated under one `straggler_sim.SimTemplate`, the
-model `coded-matmul simulate` reads too.  Each search draws one pooled
+model `coded-matmul simulate` reads too.  A search draws one pooled
 completion table, up to the largest R_th of its candidates, and reads each
-candidate's trial latencies off it as column R_th - 1 over K.  A column
-does not depend on how far the table was drawn, so a candidate gets the
-same estimate in every search and from `estimate_mean_latency(sim, R_th,
-K)`.  Cross-budget comparisons are therefore exact: a larger budget's
-feasible set contains the smaller one's, and the minimum over a superset
-of identical values cannot increase.
+candidate's trial latencies off it as column R_th - 1 over K; a trade-off
+sweep draws one table for all its cells, enumerates each kind's box once
+and scores each candidate once.  A column does not depend on how far the
+table was drawn, so a candidate gets the same estimate in every search,
+in every sweep and from `estimate_mean_latency(sim, R_th, K)`.
+Cross-budget comparisons are therefore exact: a larger budget's feasible
+set contains the smaller one's, and the minimum over a superset of
+identical values cannot increase.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .blockmat import PartitionScheme
 from .overheads import OverheadReport, compute_overheads
-from .schemes import SchemeKind, recovery_threshold
+from .schemes import SchemeKind, recovery_threshold, upload_counts
 from .straggler_sim import LatencyEstimate, SimTemplate, completion_table, summarize
 
 
@@ -58,7 +62,7 @@ class SearchSpec:
     def __post_init__(self) -> None:
         for name in ("budget_u0", "budget_u1", "budget_d"):
             object.__setattr__(self, name, _as_budget(getattr(self, name)))
-        if self.p0_cap < 1 or self.p2_cap < 1:
+        if min(self.p0_cap, self.p2_cap, 1 if self.p1_cap is None else self.p1_cap) < 1:
             raise ValueError("partition caps must be >= 1")
         if self.budget_d is None and self.p1_cap is None:
             raise ValueError(
@@ -96,54 +100,70 @@ class TradeoffRow:
     stderr: float | None
 
 
-def _within(value: Fraction, budget: Fraction | None) -> bool:
-    return budget is None or value <= budget
+class _Candidate(NamedTuple):
+    p: PartitionScheme
+    rth: int
+    binding: Fraction  # max(delta_u0, delta_u1, delta_d)
 
 
-def feasible_partitions(spec: SearchSpec) -> list[PartitionScheme]:
-    """Every scheme in the box meeting all three budgets, lexicographic."""
+def _within(count: int, size: int, budget: Fraction | None) -> bool:
+    """count / size - 1 <= budget, compared on integers."""
+    if budget is None:
+        return True
+    return count * budget.denominator <= (budget.numerator + budget.denominator) * size
+
+
+def _feasible(spec: SearchSpec) -> list[_Candidate]:
+    """Every scheme in the box meeting all three budgets, lexicographic.
+
+    Over the common denominator K, the overheads `overheads` defines are
+    R0 p2 / K - 1, R1 p0 / K - 1 and R_th p1 / K - 1, so the budgets are
+    checked and the binding overhead is picked on integers."""
+    budgets = (spec.budget_u0, spec.budget_u1, spec.budget_d)
     out = []
     for p0 in range(1, spec.p0_cap + 1):
         for p1 in range(1, spec.effective_p1_cap + 1):
             for p2 in range(1, spec.p2_cap + 1):
-                p = PartitionScheme(p0, p1, p2)
-                r = compute_overheads(spec.kind, p)
-                if (
-                    _within(r.delta_u0, spec.budget_u0)
-                    and _within(r.delta_u1, spec.budget_u1)
-                    and _within(r.delta_d, spec.budget_d)
-                ):
-                    out.append(p)
+                p, k = PartitionScheme(p0, p1, p2), p0 * p1 * p2
+                (r0, r1), rth = upload_counts(spec.kind, p), recovery_threshold(spec.kind, p)
+                scaled = (r0 * p2, r1 * p0, rth * p1)
+                if all(_within(c, k, b) for c, b in zip(scaled, budgets)):
+                    out.append(_Candidate(p, rth, Fraction(max(scaled) - k, k)))
     return out
 
 
-def search_best_partition(spec: SearchSpec) -> SearchResult:
-    """Simulate every feasible scheme and keep the lowest mean latency.
+def feasible_partitions(spec: SearchSpec) -> list[PartitionScheme]:
+    """Every scheme in the box meeting all three budgets, lexicographic."""
+    return [c.p for c in _feasible(spec)]
 
-    Ties go to the smaller partition level K, then lexicographic (p0,p1,p2).
-    """
-    feasible = feasible_partitions(spec)
+
+def _score(sim: SimTemplate, boxes: list[list[_Candidate]]) -> list[list[LatencyEstimate]]:
+    """Every candidate's latency, read off one pooled completion table drawn
+    up to the largest R_th among them: its R_th's column over its K."""
+    ranks = sorted({c.rth for box in boxes for c in box})
+    if not ranks:
+        return [[] for _ in boxes]
+    table, row = completion_table(sim, ranks).T, {r: j for j, r in enumerate(ranks)}
+    return [
+        summarize(table[[row[c.rth] for c in box]] / [[c.p.K] for c in box]) if box else []
+        for box in boxes
+    ]
+
+
+def _rank(scored: tuple[_Candidate, LatencyEstimate]) -> tuple:
+    """Lowest mean latency first; ties go to the smaller partition level K,
+    then lexicographic (p0, p1, p2)."""
+    p, est = scored[0].p, scored[1]
+    return est.mean, p.K, (p.p0, p.p1, p.p2)
+
+
+def search_best_partition(spec: SearchSpec) -> SearchResult:
+    """Simulate every feasible scheme; keep the lowest mean latency, ties by `_rank`."""
+    feasible = _feasible(spec)
     if not feasible:
         raise Infeasible(f"no feasible partition for {spec.kind.value} within budgets")
-    rths = [recovery_threshold(spec.kind, p) for p in feasible]
-    ranks = sorted(set(rths))
-    table = completion_table(spec.sim, ranks)
-    column = {r: j for j, r in enumerate(ranks)}
-    best_key = None
-    best: tuple[PartitionScheme, LatencyEstimate] | None = None
-    for p, rth in zip(feasible, rths):
-        est = summarize(table[:, column[rth]] / p.K)
-        key = (est.mean, p.K, (p.p0, p.p1, p.p2))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (p, est)
-    assert best is not None
-    return SearchResult(
-        best=best[0],
-        report=compute_overheads(spec.kind, best[0]),
-        latency=best[1],
-        feasible_count=len(feasible),
-    )
+    best, est = min(zip(feasible, _score(spec.sim, [feasible])[0]), key=_rank)
+    return SearchResult(best.p, compute_overheads(spec.kind, best.p), est, len(feasible))
 
 
 def tradeoff_curve(
@@ -155,40 +175,35 @@ def tradeoff_curve(
     sim: SimTemplate,
     force_p1_single: bool = False,
 ) -> list[TradeoffRow]:
-    """One constrained search per (kind, budget), equal budgets on all three
-    constraints; infeasible cells become marked rows, not gaps."""
+    """For each (kind, budget), the row `search_best_partition` gives with
+    that budget on all three constraints; infeasible cells become marked
+    rows, not gaps.
+
+    A cell's feasible set is the candidates of the largest budget whose
+    binding overhead is within its budget.  So each kind's box is enumerated
+    once, one table serves all kinds, each candidate is scored once, and
+    the budgets are visited in ascending order keeping a running best."""
     if not kinds or not budgets:
         raise ValueError("kinds and budgets must be nonempty")
+    cells = [_as_budget(b) for b in budgets]
+    levels = sorted(set(cells))
+    top, p1_cap = levels[-1], 1 if force_p1_single else None
+    boxes = [_feasible(SearchSpec(k, top, top, top, p0_cap, p2_cap, sim, p1_cap)) for k in kinds]
     rows = []
-    for kind in kinds:
-        for budget in budgets:
-            b = _as_budget(budget)
-            spec = SearchSpec(
-                kind=kind,
-                budget_u0=b,
-                budget_u1=b,
-                budget_d=b,
-                p0_cap=p0_cap,
-                p2_cap=p2_cap,
-                sim=sim,
-                p1_cap=1 if force_p1_single else None,
-            )
-            try:
-                res = search_best_partition(spec)
-            except Infeasible:
+    for kind, box, estimates in zip(kinds, boxes, _score(sim, boxes)):
+        buckets: list[list] = [[] for _ in levels]  # by the smallest budget met
+        for scored in zip(box, estimates):
+            buckets[bisect.bisect_left(levels, scored[0].binding)].append(scored)
+        best, at_level = [], {}
+        for level, bucket in zip(levels, buckets):
+            best = at_level[level] = sorted(best + bucket, key=_rank)[:1]
+        for b in cells:
+            if not at_level[b]:
                 rows.append(TradeoffRow(kind, b, False, None, None, None, None))
                 continue
-            rows.append(
-                TradeoffRow(
-                    kind,
-                    b,
-                    True,
-                    res.best,
-                    res.report,
-                    res.latency.mean,
-                    res.latency.stderr,
-                )
-            )
+            cand, est = at_level[b][0]
+            report = compute_overheads(kind, cand.p)
+            rows.append(TradeoffRow(kind, b, True, cand.p, report, est.mean, est.stderr))
     return rows
 
 

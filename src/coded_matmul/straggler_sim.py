@@ -92,12 +92,17 @@ def trial_latencies(sim: SimTemplate, R_th: int, K: int) -> np.ndarray:
     return completion_table(sim, [R_th])[:, 0] / K
 
 
-def summarize(samples: np.ndarray) -> LatencyEstimate:
-    """Mean of per-trial latency samples, with its standard error."""
-    if len(samples) == 1:
-        return LatencyEstimate(float(samples[0]), 0.0, 1)
-    stderr = float(samples.std(ddof=1)) / math.sqrt(len(samples))
-    return LatencyEstimate(float(samples.mean()), stderr, len(samples))
+def summarize(samples: np.ndarray) -> LatencyEstimate | list[LatencyEstimate]:
+    """Mean of per-trial latency samples, with its standard error, taken
+    along the last axis: a (candidates x trials) array gives one estimate
+    per row, each bit-identical to the estimate of that row alone."""
+    samples = np.ascontiguousarray(samples)  # pairwise sums run along rows
+    n = samples.shape[-1]
+    means = samples.mean(axis=-1)
+    errs = samples.std(ddof=1, axis=-1) / math.sqrt(n) if n > 1 else np.zeros_like(means)
+    if samples.ndim == 1:
+        return LatencyEstimate(float(means), float(errs), n)
+    return [LatencyEstimate(float(m), float(e), n) for m, e in zip(means, errs)]
 
 
 def estimate_mean_latency(sim: SimTemplate, R_th: int, K: int) -> LatencyEstimate:

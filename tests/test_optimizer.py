@@ -16,11 +16,13 @@ from fractions import Fraction
 
 import pytest
 
+from coded_matmul import optimizer
 from coded_matmul.blockmat import PartitionScheme
 from coded_matmul.optimizer import (
     Infeasible,
     SearchSpec,
     SimTemplate,
+    TradeoffRow,
     feasible_partitions,
     render_tradeoff_csv,
     search_best_partition,
@@ -120,6 +122,14 @@ def test_unbounded_download_budget_needs_explicit_p1_cap() -> None:
             p2_cap=2,
             sim=SIM,
         )
+
+
+@pytest.mark.parametrize("p1_cap", [0, -3])
+def test_p1_cap_below_one_rejected(p1_cap: int) -> None:
+    # Same check as the p0 and p2 caps; an empty p1 range is a bad spec,
+    # not an infeasible budget.
+    with pytest.raises(ValueError, match="partition caps must be >= 1"):
+        equal_budget_spec(SchemeKind.TRI, 4, p1_cap=p1_cap)
 
 
 def test_feasible_set_matches_closed_form_oracle() -> None:
@@ -303,3 +313,54 @@ def test_tradeoff_csv_schema_and_stability() -> None:
     # byte-stable re-render
     rows2 = tradeoff_curve([SchemeKind.EPC, SchemeKind.TRI], budgets, p0_cap=2, p2_cap=2, sim=SIM)
     assert render_tradeoff_csv(rows2) == text
+
+
+def searched_alone(kind: SchemeKind, budget: Fraction, force_p1_single: bool) -> TradeoffRow:
+    """The row one search gives for the cell, as the sweep should give it."""
+    spec = equal_budget_spec(
+        kind, budget, caps=(4, 3), p1_cap=1 if force_p1_single else None
+    )
+    try:
+        res = search_best_partition(spec)
+    except Infeasible:
+        return TradeoffRow(kind, budget, False, None, None, None, None)
+    return TradeoffRow(
+        kind, budget, True, res.best, res.report, res.latency.mean, res.latency.stderr
+    )
+
+
+@pytest.mark.parametrize("force_p1_single", [False, True])
+def test_sweep_equals_cells_searched_one_by_one(force_p1_single: bool) -> None:
+    # Unsorted budgets with a duplicate, a negative and a zero.  The sweep
+    # draws one table deeper than most cells' searches, scores candidates
+    # once and walks the budgets in ascending order; every row must still
+    # equal its own search, floats compared with ==.
+    budgets = [Fraction(4), Fraction(1, 2), Fraction(8), Fraction(1, 2), Fraction(-1), Fraction(0)]
+    rows = tradeoff_curve(
+        ALL_KINDS, budgets, p0_cap=4, p2_cap=3, sim=SIM, force_p1_single=force_p1_single
+    )
+    assert len(rows) == len(ALL_KINDS) * len(budgets)
+    cells = [(kind, b) for kind in ALL_KINDS for b in budgets]
+    for row, (kind, b) in zip(rows, cells):
+        assert row == searched_alone(kind, b, force_p1_single)
+    assert [r.feasible for r in rows].count(False) == len(ALL_KINDS)
+
+
+@pytest.mark.parametrize(
+    "budgets, calls", [([Fraction(-1)], 0), ([Fraction(2), Fraction(-1), Fraction(1, 2)], 1)]
+)
+def test_sweep_draws_one_completion_table(monkeypatch, budgets, calls: int) -> None:
+    # At most one table per sweep, and exactly one once any cell is feasible.
+    drawn, draw = [], optimizer.completion_table
+
+    def counting(sim, ranks):
+        drawn.append(ranks)
+        return draw(sim, ranks)
+
+    monkeypatch.setattr(optimizer, "completion_table", counting)
+    for force_p1_single in (False, True):
+        drawn.clear()
+        tradeoff_curve(
+            ALL_KINDS, budgets, p0_cap=3, p2_cap=3, sim=SIM, force_p1_single=force_p1_single
+        )
+        assert len(drawn) == calls

@@ -20,6 +20,7 @@ from coded_matmul.straggler_sim import (
     completion_table,
     estimate_mean_latency,
     pooled_completions,
+    summarize,
     trial_latencies,
 )
 
@@ -211,3 +212,23 @@ def test_single_trial_stderr_zero() -> None:
     assert isinstance(est, LatencyEstimate)
     assert est.stderr == 0.0
     assert est.trials == 1
+
+
+@pytest.mark.parametrize("trials", [1, 2, 20, 1000])
+def test_summarize_rows_equal_summarize_each_row(trials: int) -> None:
+    # A sweep scores all its candidates in one call; each row's estimate
+    # must be bit for bit the one-row estimate, and the plain mean and
+    # sample stderr of that row.  The transposed copy checks that the
+    # memory layout of the input does not change the sums.
+    rng = np.random.default_rng(trials)
+    table = 1.0 + rng.standard_exponential((trials, 7)) / 0.3
+    rows = table.T / np.arange(1, 8)[:, None]
+    got = summarize(rows)
+    assert got == summarize(np.ascontiguousarray(rows))
+    assert got == [summarize(row) for row in rows]
+    for est, row in zip(got, rows):
+        assert est.mean == float(row.mean())
+        assert est.stderr == (
+            float(row.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+        )
+        assert est.trials == trials
