@@ -3,12 +3,13 @@
 A `Matrix` holds a rows x cols ndarray (int64 for q < 2^31, Python ints
 above), and `modmatmul` is the one F_q matrix product under encoding,
 per-task multiply and decoding.  A matrix is split into an equal-size grid
-of blocks: the left factor into p0 x p1 blocks, the right factor into
-p1 x p2 blocks.  Block (n0, n2) of the product is the sum over the middle
-index of blockwise products, which is the identity every coding scheme in
-this package relies on.  Dimensions must be exactly divisible by the
-partition counts; padding is never applied silently, so decode-equality
-checks stay exact.
+of blocks, held as one array indexed (block row, block column, row, col):
+the left factor into p0 x p1 blocks, the right factor into p1 x p2 blocks.
+Block (n0, n2) of the product is the sum over the middle index of
+blockwise products, which is the identity every coding scheme in this
+package relies on.  Dimensions must be exactly divisible by the partition
+counts; padding is never applied silently, so decode-equality checks stay
+exact.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class DimensionError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Blocks in a grid do not share a single shape."""
+    """Entries or blocks do not match the shape they are declared with."""
 
 
 @dataclass(frozen=True)
@@ -124,48 +125,23 @@ class Matrix:
         return Matrix(rows, cols, data, modulus)
 
 
-@dataclass(frozen=True)
-class BlockGrid:
-    """A pr x pc grid of equally shaped blocks tiling one matrix."""
+def partition_matrix(m: Matrix, pr: int, pc: int) -> np.ndarray:
+    """Split m into a pr x pc grid of contiguous equally sized blocks.
 
-    blocks: list[list[Matrix]]
-
-    def __post_init__(self) -> None:
-        if not self.blocks or not self.blocks[0]:
-            raise ShapeError("empty block grid")
-        first = self.blocks[0][0]
-        for row in self.blocks:
-            if len(row) != len(self.blocks[0]):
-                raise ShapeError("ragged block grid")
-            for blk in row:
-                if (blk.rows, blk.cols) != (first.rows, first.cols):
-                    raise ShapeError("blocks differ in shape")
-
-    @property
-    def pr(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def pc(self) -> int:
-        return len(self.blocks[0])
-
-
-def partition_matrix(m: Matrix, pr: int, pc: int) -> BlockGrid:
-    """Split m into a pr x pc grid of contiguous equally sized blocks."""
+    The result is a read-only (pr, pc, rows / pr, cols / pc) view of m's
+    entries: element [i, j] is block (i, j).
+    """
     if m.rows % pr or m.cols % pc:
         raise DimensionError(
             f"{m.rows}x{m.cols} matrix not divisible into {pr}x{pc} blocks"
         )
-    br, bc = m.rows // pr, m.cols // pc
-    tiles = m.data.reshape(pr, br, pc, bc).swapaxes(1, 2)
-    return BlockGrid([[Matrix(br, bc, t, m.modulus) for t in row] for row in tiles])
+    return m.data.reshape(pr, m.rows // pr, pc, m.cols // pc).swapaxes(1, 2)
 
 
-def assemble_blocks(g: BlockGrid) -> Matrix:
-    """Tile the grid back into one matrix; exact inverse of partition_matrix."""
-    first = g.blocks[0][0]
-    data = np.block([[blk.data for blk in row] for row in g.blocks])
-    return Matrix(g.pr * first.rows, g.pc * first.cols, data, first.modulus)
+def assemble_blocks(blocks: np.ndarray, modulus: PrimeModulus) -> Matrix:
+    """Tile a (pr, pc, br, bc) block array into one matrix; partition_matrix's inverse."""
+    pr, pc, br, bc = blocks.shape
+    return Matrix(pr * br, pc * bc, blocks.swapaxes(1, 2).reshape(-1), modulus)
 
 
 def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
@@ -192,7 +168,10 @@ def read_matrix(path: str | Path) -> Matrix:
         raise ValueError(f"{path}: expected {rows} rows, found {len(lines) - 1}")
     data: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        values = [int(tok) for tok in line.split()]
+        try:
+            values = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer entry in {line.strip()!r}") from None
         if len(values) != cols:
             raise ValueError(f"{path}:{lineno}: expected {cols} values")
         for v in values:

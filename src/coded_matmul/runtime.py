@@ -3,14 +3,14 @@
 `run_job` is the package's one coded pipeline: `coded-matmul multiply` runs
 it with a single worker thread, and `coded-matmul run` with several.
 
-One coordinator thread owns all job state: it partitions the inputs,
-encodes coded shares lazily (cached per point projection, so a share
-reused across an axis is encoded once: the cache miss counts ARE the
-upload counts), fills a work queue, and decodes once every grid task has
-reported.  Workers are plain threads that receive immutable task messages,
-optionally sleep a sampled straggler delay, multiply their two shares, and
-send the result back.  Nothing mutable is shared; all communication is via
-queues.
+One coordinator thread owns all job state: it encodes each input once, in
+one `encode_shares` call at the distinct projections of the grid's task
+points onto that input's axes (so a share reused across an axis is encoded
+once, and the number of projections IS the upload count), fills a work
+queue, and decodes once every grid task has reported.  Workers are plain
+threads that receive immutable task messages, optionally sleep a sampled
+straggler delay, multiply their two shares, and send the result back.
+Nothing mutable is shared; all communication is via queues.
 
 Scheduling modes: "dynamic" uses a single shared queue (idle workers pull
 the next undispatched task, so a slow worker naturally takes fewer tasks);
@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import DimensionError, Matrix, PartitionScheme, matrix_multiply, partition_matrix
+from .blockmat import DimensionError, Matrix, PartitionScheme, matrix_multiply
 from .schemes import (
     SchemeKind,
     TaskResult,
     axis_names,
     decode_product,
-    encode_block,
+    encode_shares,
     evaluation_grid,
     project_point,
 )
@@ -87,11 +87,12 @@ class JobSpec:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.mode not in ("dynamic", "static"):
             raise ValueError(f"mode must be 'dynamic' or 'static', got {self.mode!r}")
-        if (
-            self.worker_delay_factors is not None
-            and len(self.worker_delay_factors) != self.workers
-        ):
-            raise ValueError("worker_delay_factors length must equal workers")
+        factors = self.worker_delay_factors
+        if factors is not None:
+            if len(factors) != self.workers:
+                raise ValueError("worker_delay_factors length must equal workers")
+            if not all(0 <= f < math.inf for f in factors):
+                raise ValueError("worker_delay_factors must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -132,25 +133,18 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         )
     kind, p = spec.kind, spec.p
     grid = evaluation_grid(kind, p, spec.M0.modulus)
-    blocks0 = partition_matrix(spec.M0, p.p0, p.p1)
-    blocks1 = partition_matrix(spec.M1, p.p1, p.p2)
 
-    share_cache: dict[tuple[int, tuple[int, ...]], Matrix] = {}
-    encode_counts = [0, 0]
+    def task_shares(input_id: int, m: Matrix) -> tuple[list[Matrix], int]:
+        """The share of m each task uses, and how many distinct shares there are."""
+        projs = [project_point(kind, input_id, t) for t in grid.tasks]
+        distinct = list(dict.fromkeys(projs))
+        shares = encode_shares(kind, p, input_id, m, distinct)
+        by_proj = {pt: Matrix(*s.shape, s, m.modulus) for pt, s in zip(distinct, shares)}
+        return [by_proj[pt] for pt in projs], len(distinct)
 
-    def coded_share(input_id: int, task_point: tuple[int, ...]) -> Matrix:
-        blocks = blocks0 if input_id == 0 else blocks1
-        proj = project_point(kind, input_id, task_point)
-        key = (input_id, proj)
-        if key not in share_cache:
-            encode_counts[input_id] += 1
-            share_cache[key] = encode_block(kind, p, input_id, blocks, proj).block
-        return share_cache[key]
-
-    tasks = [
-        (tid, point, coded_share(0, point), coded_share(1, point))
-        for tid, point in enumerate(grid.tasks)
-    ]
+    shares0, encoded0 = task_shares(0, spec.M0)
+    shares1, encoded1 = task_shares(1, spec.M1)
+    tasks = list(zip(range(len(grid.tasks)), grid.tasks, shares0, shares1))
 
     # Start no thread for workers past the task count: none would get a
     # task.  Static task i goes to worker i mod workers, below n_threads.
@@ -235,7 +229,7 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         records=records,
         total_ms=total_ms,
         per_worker_counts=per_worker,
-        encode_counts=(encode_counts[0], encode_counts[1]),
+        encode_counts=(encoded0, encoded1),
     )
     if len(results) < need:
         raise JobFailed(first_error or "workers exited before finishing", trace)

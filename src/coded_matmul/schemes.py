@@ -15,25 +15,34 @@ coefficient of the pointwise-product polynomial:
   on only two of (x, y, z) and shares are reused across the third.
 
 The product polynomial's coefficient at a known monomial equals one block
-of the matrix product.  A share is one row of monomial values times the
-input's stacked blocks; decoding stacks the results into an array shaped by
-the axis sizes and applies each axis's inverse Vandermonde matrix in turn.
-Both are F_q products through `blockmat.modmatmul`, so decoding equality
-is bit-for-bit, not approximate.
+of the matrix product.  An input's shares are its block polynomial evaluated
+at the points of its own sub-grid: all of them come from one coefficient
+matrix (one row of monomial values per point) times the input's blocks
+stacked one per row.  Decoding stacks the results into an array shaped by
+the axis sizes, applies each axis's inverse Vandermonde matrix in turn,
+and gathers the product's blocks from their target coefficients.  Both are
+F_q products through `blockmat.modmatmul`, so decoding equality is
+bit-for-bit, not approximate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .blockmat import (
-    BlockGrid, Matrix, PartitionScheme, ShapeError, assemble_blocks, field_array, modmatmul
+    Matrix,
+    PartitionScheme,
+    ShapeError,
+    assemble_blocks,
+    field_array,
+    modmatmul,
+    partition_matrix,
 )
 from .ffield import PrimeModulus
 
@@ -170,19 +179,6 @@ class EvaluationGrid:
     tasks: tuple[tuple[int, ...], ...]
     modulus: PrimeModulus
 
-    @property
-    def arity(self) -> int:
-        return len(self.axes)
-
-
-@dataclass(frozen=True)
-class CodedShare:
-    """One evaluated input polynomial: what the master uploads to a worker."""
-
-    input_id: int
-    point: tuple[int, ...]
-    block: Matrix
-
 
 @dataclass(frozen=True)
 class TaskResult:
@@ -207,43 +203,43 @@ def evaluation_grid(
     return EvaluationGrid(kind, axes, tasks, field)
 
 
-def encode_block(
+def encode_shares(
     kind: SchemeKind,
     p: PartitionScheme,
     input_id: int,
-    blocks: BlockGrid,
-    point: tuple[int, ...],
-) -> CodedShare:
-    """Evaluate one input's encoding polynomial at a (projected) point.
+    m: Matrix,
+    points: Sequence[tuple[int, ...]],
+) -> np.ndarray:
+    """Evaluate one input's encoding polynomial at each (projected) point.
 
-    The share is the monomial-weighted sum of that input's blocks: the row
-    of monomial values at the point times the blocks stacked one per row.
-    It is linear in the input matrix.
+    Share k is the monomial-weighted sum of the input's blocks at points[k].
+    All of them are one product: the (len(points) x pr*pc) matrix of
+    monomial values times the input's pr x pc blocks stacked one per row.  The result is a
+    (len(points), block rows, block cols) array, linear in m.
     """
-    expected = (p.p0, p.p1) if input_id == 0 else (p.p1, p.p2)
-    if (blocks.pr, blocks.pc) != expected:
-        raise ShapeError(
-            f"input {input_id} must be partitioned {expected[0]}x{expected[1]}, "
-            f"got {blocks.pr}x{blocks.pc}"
-        )
     code = _CODES[kind]
     arity = len(code.input_axes[input_id])
-    if len(point) != arity:
-        raise PointArityError(
-            f"{kind.value} input {input_id} expects {arity} coordinates, "
-            f"got {len(point)}"
-        )
+    for point in points:
+        if len(point) != arity:
+            raise PointArityError(
+                f"{kind.value} input {input_id} expects {arity} coordinates, "
+                f"got {len(point)}"
+            )
+    pr, pc = (p.p0, p.p1) if input_id == 0 else (p.p1, p.p2)
+    blocks = partition_matrix(m, pr, pc)
     exponents = code.left if input_id == 0 else code.right
-    first = blocks.blocks[0][0]
-    q = first.modulus.q
+    q = m.modulus.q
     coeffs = [
         math.prod(pow(x, e, q) for x, e in zip(point, exponents(p, i, j))) % q
-        for i in range(blocks.pr)
-        for j in range(blocks.pc)
+        for point in points
+        for i in range(pr)
+        for j in range(pc)
     ]
-    stacked = np.stack([blk.data for row in blocks.blocks for blk in row])
-    data = modmatmul(field_array([coeffs], q), stacked.reshape(len(coeffs), -1), q)
-    return CodedShare(input_id, tuple(point), Matrix(first.rows, first.cols, data, first.modulus))
+    br, bc = blocks.shape[2:]
+    shares = modmatmul(
+        field_array(coeffs, q).reshape(len(points), pr * pc), blocks.reshape(pr * pc, br * bc), q
+    )
+    return shares.reshape(len(points), br, bc)
 
 
 def _lagrange_basis(points: tuple[int, ...], q: int) -> list[list[int]]:
@@ -341,8 +337,6 @@ def decode_product(
         along = interpolate_univariate(points, np.moveaxis(coeffs, k, 0), grid.modulus)
         coeffs = np.moveaxis(along, 0, k)
     target = _CODES[kind].target
-    out = [
-        [Matrix(*shape, coeffs[target(p, n0, n2)], grid.modulus) for n2 in range(p.p2)]
-        for n0 in range(p.p0)
-    ]
-    return assemble_blocks(BlockGrid(out))
+    wanted = [target(p, n0, n2) for n0 in range(p.p0) for n2 in range(p.p2)]
+    blocks = coeffs[tuple(np.array(axis) for axis in zip(*wanted))]
+    return assemble_blocks(blocks.reshape(p.p0, p.p2, *shape), grid.modulus)

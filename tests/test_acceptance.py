@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply, partition_matrix
+from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.optimizer import SearchSpec, feasible_partitions, tradeoff_curve
 from coded_matmul.overheads import compute_overheads
@@ -22,7 +22,7 @@ from coded_matmul.schemes import (
     SchemeKind,
     TaskResult,
     decode_product,
-    encode_block,
+    encode_shares,
     evaluation_grid,
     recovery_threshold,
     upload_counts,
@@ -102,12 +102,12 @@ def test_univariate_decode_from_random_points():
         r_th = recovery_threshold(SchemeKind.EPC, p)
         a = Matrix.random(6, 6, F_BIG, rng)
         b = Matrix.random(6, 6, F_BIG, rng)
-        blocks = (partition_matrix(a, p.p0, p.p1), partition_matrix(b, p.p1, p.p2))
         points = rng.sample(range(1, 100000), r_th)
+        shares0 = encode_shares(SchemeKind.EPC, p, 0, a, [(v,) for v in points])
+        shares1 = encode_shares(SchemeKind.EPC, p, 1, b, [(v,) for v in points])
         results = []
-        for v in points:
-            s0 = encode_block(SchemeKind.EPC, p, 0, blocks[0], (v,)).block
-            s1 = encode_block(SchemeKind.EPC, p, 1, blocks[1], (v,)).block
+        for v, s0, s1 in zip(points, shares0, shares1):
+            s0, s1 = Matrix(*s0.shape, s0, F_BIG), Matrix(*s1.shape, s1, F_BIG)
             results.append(TaskResult((v,), matrix_multiply(s0, s1)))
         grid = evaluation_grid(SchemeKind.EPC, p, F_BIG)
         decoded = decode_product(SchemeKind.EPC, p, grid, results)

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coded_matmul.blockmat import (
-    BlockGrid,
     DimensionError,
     Matrix,
     PartitionScheme,
-    ShapeError,
     assemble_blocks,
     matrix_multiply,
     partition_matrix,
@@ -36,6 +35,11 @@ def random_matrix(rows: int, cols: int, field: PrimeModulus, seed: int) -> Matri
     return Matrix(
         rows, cols, [rng.randrange(field.q) for _ in range(rows * cols)], field
     )
+
+
+def block(blocks: np.ndarray, i: int, j: int, field: PrimeModulus) -> Matrix:
+    """Block (i, j) of a partition_matrix result, as a Matrix."""
+    return Matrix(*blocks.shape[2:], blocks[i, j], field)
 
 
 def naive_product(a: Matrix, b: Matrix) -> list[int]:
@@ -60,24 +64,33 @@ def test_partition_scheme_level() -> None:
 
 def test_partition_identity_into_quadrants() -> None:
     eye = Matrix.identity(4, F7)
-    grid = partition_matrix(eye, 2, 2)
-    assert grid.blocks[0][0] == Matrix.identity(2, F7)
-    assert grid.blocks[1][1] == Matrix.identity(2, F7)
-    assert grid.blocks[0][1] == Matrix.zeros(2, 2, F7)
-    assert grid.blocks[1][0] == Matrix.zeros(2, 2, F7)
+    blocks = partition_matrix(eye, 2, 2)
+    assert blocks.shape == (2, 2, 2, 2)
+    assert block(blocks, 0, 0, F7) == Matrix.identity(2, F7)
+    assert block(blocks, 1, 1, F7) == Matrix.identity(2, F7)
+    assert block(blocks, 0, 1, F7) == Matrix.zeros(2, 2, F7)
+    assert block(blocks, 1, 0, F7) == Matrix.zeros(2, 2, F7)
 
 
 def test_partition_trivial_is_whole_matrix() -> None:
     m = random_matrix(3, 5, F101, seed=1)
-    grid = partition_matrix(m, 1, 1)
-    assert grid.blocks[0][0] == m
+    blocks = partition_matrix(m, 1, 1)
+    assert blocks.shape == (1, 1, 3, 5)
+    assert block(blocks, 0, 0, F101) == m
+
+
+def test_partition_is_read_only_view() -> None:
+    m = random_matrix(4, 6, F101, seed=24)
+    blocks = partition_matrix(m, 2, 3)
+    assert np.shares_memory(blocks, m.data)
+    assert not blocks.flags.writeable
 
 
 def test_partition_assemble_round_trip() -> None:
     m = random_matrix(6, 9, F101, seed=2)
-    assert assemble_blocks(partition_matrix(m, 3, 3)) == m
+    assert assemble_blocks(partition_matrix(m, 3, 3), m.modulus) == m
     m2 = random_matrix(4, 6, F101, seed=3)
-    assert assemble_blocks(partition_matrix(m2, 2, 3)) == m2
+    assert assemble_blocks(partition_matrix(m2, 2, 3), m2.modulus) == m2
 
 
 def test_partition_rejects_non_divisible() -> None:
@@ -90,17 +103,12 @@ def test_partition_rejects_non_divisible() -> None:
 
 def test_assemble_single_block() -> None:
     m = random_matrix(2, 2, F7, seed=5)
-    assert assemble_blocks(BlockGrid([[m]])) == m
+    assert assemble_blocks(np.array([[m.data]]), F7) == m
 
 
 def test_assemble_zero_blocks() -> None:
-    z = Matrix.zeros(1, 1, F7)
-    assert assemble_blocks(BlockGrid([[z, z], [z, z]])) == Matrix.zeros(2, 2, F7)
-
-
-def test_ragged_grid_rejected() -> None:
-    with pytest.raises(ShapeError):
-        BlockGrid([[Matrix.zeros(1, 1, F7), Matrix.zeros(1, 2, F7)]])
+    z = Matrix.zeros(1, 1, F7).data
+    assert assemble_blocks(np.array([[z, z], [z, z]]), F7) == Matrix.zeros(2, 2, F7)
 
 
 def test_multiply_by_identity() -> None:
@@ -160,10 +168,12 @@ def test_block_product_identity_2_2_2() -> None:
         for n2 in range(2):
             acc = Matrix.zeros(2, 2, F101)
             for n1 in range(2):
-                acc = acc + matrix_multiply(ga.blocks[n0][n1], gb.blocks[n1][n2])
-            row.append(acc)
+                acc = acc + matrix_multiply(
+                    block(ga, n0, n1, F101), block(gb, n1, n2, F101)
+                )
+            row.append(acc.data)
         out_blocks.append(row)
-    assert assemble_blocks(BlockGrid(out_blocks)) == matrix_multiply(a, b)
+    assert assemble_blocks(np.array(out_blocks), F101) == matrix_multiply(a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,14 +192,17 @@ def test_block_product_identity_all_schemes(p0: int, p1: int, p2: int, seed: int
     out = [
         [
             sum(
-                (matrix_multiply(ga.blocks[n0][n1], gb.blocks[n1][n2]) for n1 in range(p1)),
+                (
+                    matrix_multiply(block(ga, n0, n1, F101), block(gb, n1, n2, F101))
+                    for n1 in range(p1)
+                ),
                 start=Matrix.zeros(r0 // p0, r2 // p2, F101),
-            )
+            ).data
             for n2 in range(p2)
         ]
         for n0 in range(p0)
     ]
-    assert assemble_blocks(BlockGrid(out)) == matrix_multiply(a, b)
+    assert assemble_blocks(np.array(out), F101) == matrix_multiply(a, b)
 
 
 def test_matrix_file_round_trip(tmp_path) -> None:

@@ -224,6 +224,19 @@ def test_inner_dimension_mismatch_exits_one(capsys, tmp_path, command):
     assert "cannot multiply" in err
 
 
+def test_multiply_non_integer_entry_names_line_exits_one(capsys, tmp_path):
+    _, _, pa, pb = write_pair(tmp_path)
+    lines = (tmp_path / "a.mat").read_text().splitlines()
+    lines[6] = "1 x 2 3 4 5"  # the last of six rows, on line 7 of the file
+    (tmp_path / "a.mat").write_text("\n".join(lines) + "\n")
+    rc, out, err = run_cli(
+        capsys, "multiply", "--scheme", "epc",
+        "--p0", "1", "--p1", "1", "--p2", "1", "--a", pa, "--b", pb,
+    )
+    assert rc == 1
+    assert out == "" and err.startswith(f"error: {pa}:7: ")
+
+
 def test_multiply_q_override_recomputes_in_that_field(capsys, tmp_path):
     small = PrimeModulus(13)
     a, b, pa, pb = write_pair(tmp_path, q=small, seeds=(5, 6))

@@ -1,8 +1,8 @@
 """Concurrent master/worker engine tests.
 
 Correctness oracle is always the direct `matrix_multiply` product; the
-share-cache accounting oracle is `upload_counts` (number of distinct
-per-input projections).  Latency assertions only compare configurations
+encode-count oracle is `upload_counts` (number of distinct per-input
+projections).  Latency assertions only compare configurations
 against each other, never wall-clock absolutes.
 """
 
@@ -13,8 +13,10 @@ import random
 import statistics
 import threading
 
+import numpy as np
 import pytest
 
+from coded_matmul import schemes
 from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.runtime import (
@@ -25,7 +27,14 @@ from coded_matmul.runtime import (
     render_trace_csv,
     run_job,
 )
-from coded_matmul.schemes import SchemeKind, recovery_threshold, upload_counts
+from coded_matmul.schemes import (
+    SchemeKind,
+    encode_shares,
+    evaluation_grid,
+    project_point,
+    recovery_threshold,
+    upload_counts,
+)
 
 FBIG = PrimeModulus(DEFAULT_MODULUS)
 ALL_KINDS = list(SchemeKind)
@@ -79,11 +88,42 @@ def test_trace_completeness() -> None:
     assert trace.total_ms >= max(r.end_ms for r in trace.records) - 1e-6
 
 
-def test_share_cache_counts_match_upload_counts() -> None:
+def test_encode_counts_match_upload_counts() -> None:
     for kind in ALL_KINDS:
         spec = make_spec(kind)
         _, trace = run_job(spec)
         assert trace.encode_counts == upload_counts(kind, spec.p)
+
+
+@pytest.mark.parametrize("q", [101, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_each_input_encoded_by_one_kernel_call(kind: SchemeKind, q: int, monkeypatch) -> None:
+    # Counts the F_q products the codec makes: one per encode_shares call,
+    # so one per input in a job, plus one per decode axis.
+    calls = []
+    kernel = schemes.modmatmul
+
+    def counted(a, b, modulus):
+        calls.append(a.shape)
+        return kernel(a, b, modulus)
+
+    monkeypatch.setattr(schemes, "modmatmul", counted)
+    field = PrimeModulus(q)
+    p = PartitionScheme(2, 3, 2)
+    a, b = random_matrix(4, 6, field, seed=30), random_matrix(6, 4, field, seed=31)
+    grid = evaluation_grid(kind, p, field)
+    for input_id, m in ((0, a), (1, b)):
+        points = sorted({project_point(kind, input_id, t) for t in grid.tasks})
+        calls.clear()
+        batched = encode_shares(kind, p, input_id, m, points)
+        assert len(calls) == 1
+        for point, share in zip(points, batched):
+            assert np.array_equal(encode_shares(kind, p, input_id, m, [point])[0], share)
+    calls.clear()
+    out, trace = run_job(JobSpec(kind, p, a, b, workers=2))
+    assert out == matrix_multiply(a, b)
+    assert len(calls) == 2 + len(grid.axes)
+    assert trace.encode_counts == upload_counts(kind, p)
 
 
 def test_static_mode_same_output() -> None:
@@ -232,6 +272,18 @@ def test_validation() -> None:
                 SchemeKind.TRI,
                 M1=random_matrix(8, 8, PrimeModulus(101), seed=5),
             )
+        )
+
+
+@pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+def test_worker_delay_factors_must_be_finite_and_nonnegative(bad: float) -> None:
+    # Rejected when the spec is built, before run_job can start a thread.
+    with pytest.raises(ValueError, match="worker_delay_factors must be >= 0 and finite"):
+        make_spec(
+            SchemeKind.TRI,
+            workers=2,
+            delay=InjectedDelay(1.0, 1.0),
+            worker_delay_factors=(1.0, bad),
         )
 
 

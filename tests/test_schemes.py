@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from coded_matmul.blockmat import (
+    DimensionError,
     Matrix,
     PartitionScheme,
     matrix_multiply,
@@ -25,7 +26,6 @@ from coded_matmul.blockmat import (
 )
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.schemes import (
-    CodedShare,
     EvaluationGrid,
     FieldTooSmall,
     IncompleteResults,
@@ -35,7 +35,7 @@ from coded_matmul.schemes import (
     TaskResult,
     axis_names,
     decode_product,
-    encode_block,
+    encode_shares,
     evaluation_grid,
     interpolate_univariate,
     project_point,
@@ -156,6 +156,19 @@ def random_matrix(rows: int, cols: int, field: PrimeModulus, seed: int) -> Matri
     )
 
 
+def block(blocks: np.ndarray, i: int, j: int, field: PrimeModulus) -> Matrix:
+    """Block (i, j) of a partition_matrix result, as a Matrix."""
+    return Matrix(*blocks.shape[2:], blocks[i, j], field)
+
+
+def share(
+    kind: SchemeKind, p: PartitionScheme, input_id: int, m: Matrix, point: tuple[int, ...]
+) -> Matrix:
+    """The one share of m at a (projected) point, as a Matrix."""
+    (data,) = encode_shares(kind, p, input_id, m, [point])
+    return Matrix(*data.shape, data, m.modulus)
+
+
 def task_results(
     kind: SchemeKind,
     p: PartitionScheme,
@@ -165,13 +178,11 @@ def task_results(
 ) -> tuple[EvaluationGrid, list[TaskResult]]:
     """Encode both inputs and multiply share pairs at every grid task."""
     grid = evaluation_grid(kind, p, field)
-    ga = partition_matrix(a, p.p0, p.p1)
-    gb = partition_matrix(b, p.p1, p.p2)
     results = []
     for point in grid.tasks:
-        s0 = encode_block(kind, p, 0, ga, project_point(kind, 0, point))
-        s1 = encode_block(kind, p, 1, gb, project_point(kind, 1, point))
-        results.append(TaskResult(point, matrix_multiply(s0.block, s1.block)))
+        s0 = share(kind, p, 0, a, project_point(kind, 0, point))
+        s1 = share(kind, p, 1, b, project_point(kind, 1, point))
+        results.append(TaskResult(point, matrix_multiply(s0, s1)))
     return grid, results
 
 
@@ -309,20 +320,19 @@ def test_axis_names() -> None:
 def test_encode_trivial_partition_returns_sole_block() -> None:
     p = PartitionScheme(1, 1, 1)
     m = random_matrix(4, 4, F101, seed=0)
-    grid = partition_matrix(m, 1, 1)
     for kind in ALL_KINDS:
         g = evaluation_grid(kind, p, F101)
         for point in g.tasks:
-            share = encode_block(kind, p, 0, grid, project_point(kind, 0, point))
-            assert share.block == m
+            assert share(kind, p, 0, m, project_point(kind, 0, point)) == m
 
 
 def test_encode_epc_at_one_sums_blocks() -> None:
     p = PartitionScheme(2, 1, 1)
     m = random_matrix(4, 2, F101, seed=1)
     grid = partition_matrix(m, 2, 1)
-    share = encode_block(SchemeKind.EPC, p, 0, grid, (1,))
-    assert share.block == grid.blocks[0][0] + grid.blocks[1][0]
+    assert share(SchemeKind.EPC, p, 0, m, (1,)) == (
+        block(grid, 0, 0, F101) + block(grid, 1, 0, F101)
+    )
 
 
 def test_encode_tri_matches_direct_sum() -> None:
@@ -330,13 +340,12 @@ def test_encode_tri_matches_direct_sum() -> None:
     p = PartitionScheme(2, 2, 2)
     m = random_matrix(4, 4, F101, seed=2)
     grid = partition_matrix(m, 2, 2)
-    share = encode_block(SchemeKind.TRI, p, 0, grid, (2, 3))
     expected = Matrix.zeros(2, 2, F101)
     for b0 in range(2):
         for b1 in range(2):
             c = pow(2, b0, 101) * pow(3, b1, 101) % 101
-            expected = expected + grid.blocks[b0][b1].scale(c)
-    assert share.block == expected
+            expected = expected + block(grid, b0, b1, F101).scale(c)
+    assert share(SchemeKind.TRI, p, 0, m, (2, 3)) == expected
 
 
 def test_encode_matches_symbolic_oracle_scalar_blocks() -> None:
@@ -353,42 +362,41 @@ def test_encode_matches_symbolic_oracle_scalar_blocks() -> None:
             m = Matrix(
                 rows, cols, [vals[i, j] for i in range(rows) for j in range(cols)], F101
             )
-            blocks = partition_matrix(m, rows, cols)
             poly = oracle_input_poly(kind, input_id, p, vals, q)
             grid = evaluation_grid(kind, p, F101)
             for point in grid.tasks[:6]:
                 proj = project_point(kind, input_id, point)
-                share = encode_block(kind, p, input_id, blocks, proj)
                 # oracle works on the full-arity point
-                assert share.block.at(0, 0) == poly_eval(poly, point, q)
+                assert share(kind, p, input_id, m, proj).at(0, 0) == poly_eval(poly, point, q)
 
 
 def test_encode_is_linear() -> None:
     p = PartitionScheme(2, 2, 2)
     a = random_matrix(4, 4, F101, seed=4)
     b = random_matrix(4, 4, F101, seed=5)
-    ga, gb = partition_matrix(a, 2, 2), partition_matrix(b, 2, 2)
-    gsum = partition_matrix(a + b, 2, 2)
     for kind in ALL_KINDS:
         grid = evaluation_grid(kind, p, F101)
         point = grid.tasks[-1]
         proj = project_point(kind, 0, point)
-        lhs = encode_block(kind, p, 0, gsum, proj).block
-        rhs = (
-            encode_block(kind, p, 0, ga, proj).block
-            + encode_block(kind, p, 0, gb, proj).block
-        )
+        lhs = share(kind, p, 0, a + b, proj)
+        rhs = share(kind, p, 0, a, proj) + share(kind, p, 0, b, proj)
         assert lhs == rhs
 
 
 def test_encode_rejects_wrong_arity() -> None:
     p = PartitionScheme(2, 2, 2)
     m = random_matrix(4, 4, F101, seed=6)
-    grid = partition_matrix(m, 2, 2)
     with pytest.raises(PointArityError):
-        encode_block(SchemeKind.TRI, p, 0, grid, (1, 2, 3))  # input 0 uses (x, y)
+        encode_shares(SchemeKind.TRI, p, 0, m, [(1, 2), (1, 2, 3)])  # input 0 uses (x, y)
     with pytest.raises(PointArityError):
-        encode_block(SchemeKind.EPC, p, 0, grid, (1, 2))
+        encode_shares(SchemeKind.EPC, p, 0, m, [(1, 2)])
+
+
+def test_encode_rejects_indivisible_input() -> None:
+    # a 4x3 left factor cannot be split into p0 x p1 = 2 x 2 blocks
+    m = random_matrix(4, 3, F101, seed=25)
+    with pytest.raises(DimensionError):
+        encode_shares(SchemeKind.TRI, PartitionScheme(2, 2, 2), 0, m, [(1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +530,14 @@ def test_decode_epc_arbitrary_points() -> None:
     field = FBIG
     a = random_matrix(4, 4, field, seed=15)
     b = random_matrix(4, 4, field, seed=16)
-    ga = partition_matrix(a, 2, 2)
-    gb = partition_matrix(b, 2, 2)
     rng = random.Random(17)
     points = rng.sample(range(1000, 10**9), recovery_threshold(SchemeKind.EPC, p))
     grid = evaluation_grid(SchemeKind.EPC, p, field)
     results = []
     for x in points:
-        s0 = encode_block(SchemeKind.EPC, p, 0, ga, (x,))
-        s1 = encode_block(SchemeKind.EPC, p, 1, gb, (x,))
-        results.append(TaskResult((x,), matrix_multiply(s0.block, s1.block)))
+        s0 = share(SchemeKind.EPC, p, 0, a, (x,))
+        s1 = share(SchemeKind.EPC, p, 1, b, (x,))
+        results.append(TaskResult((x,), matrix_multiply(s0, s1)))
     assert decode_product(SchemeKind.EPC, p, grid, results) == matrix_multiply(a, b)
 
 
@@ -550,13 +556,16 @@ def test_share_shapes() -> None:
     p = PartitionScheme(2, 2, 2)
     a = random_matrix(4, 6, F101, seed=20)  # left factor 4x6 -> blocks 2x3
     b = random_matrix(6, 4, F101, seed=21)  # right factor 6x4 -> blocks 3x2
-    ga, gb = partition_matrix(a, 2, 2), partition_matrix(b, 2, 2)
     grid = evaluation_grid(SchemeKind.BI0, p, F101)
-    point = grid.tasks[0]
-    s0 = encode_block(SchemeKind.BI0, p, 0, ga, project_point(SchemeKind.BI0, 0, point))
-    s1 = encode_block(SchemeKind.BI0, p, 1, gb, project_point(SchemeKind.BI0, 1, point))
-    assert (s0.block.rows, s0.block.cols) == (2, 3)
-    assert (s1.block.rows, s1.block.cols) == (3, 2)
+    points = grid.tasks[:3]
+    s0 = encode_shares(
+        SchemeKind.BI0, p, 0, a, [project_point(SchemeKind.BI0, 0, t) for t in points]
+    )
+    s1 = encode_shares(
+        SchemeKind.BI0, p, 1, b, [project_point(SchemeKind.BI0, 1, t) for t in points]
+    )
+    assert s0.shape == (3, 2, 3)
+    assert s1.shape == (3, 3, 2)
     assert run_scheme(SchemeKind.BI0, p, a, b, F101) == matrix_multiply(a, b)
 
 
