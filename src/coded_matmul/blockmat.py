@@ -155,7 +155,10 @@ def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
 
 def read_matrix(path: str | Path) -> Matrix:
     """Read the plain-text format: header `rows cols q`, then one row per line."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")

@@ -28,7 +28,7 @@ from .blockmat import (
     write_matrix,
 )
 from .ffield import PrimeModulus
-from .optimizer import Infeasible, render_tradeoff_csv, tradeoff_curve
+from .optimizer import render_tradeoff_csv, tradeoff_curve
 from .overheads import compute_overheads
 from .runtime import InjectedDelay, JobFailed, JobSpec, render_trace_csv, run_job
 from .schemes import FieldTooSmall, SchemeKind, recovery_threshold
@@ -54,6 +54,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -109,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean 1/lambda of the exponential tail")
     p_sim.add_argument("--t0", required=True, type=_nonneg_float)
     p_sim.add_argument("--trials", type=_positive_int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_nonneg_int, default=0)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_tr = sub.add_parser("tradeoff", help="budget-constrained search, CSV out")
@@ -123,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--p0-cap", required=True, type=_positive_int)
     p_tr.add_argument("--p2-cap", required=True, type=_positive_int)
     p_tr.add_argument("--trials", type=_positive_int, default=1000)
-    p_tr.add_argument("--seed", type=int, default=0)
+    p_tr.add_argument("--seed", type=_nonneg_int, default=0)
     p_tr.add_argument("--force-p1-1", action="store_true",
                       help="restrict the search to p1 = 1")
     p_tr.add_argument("--out", help="write CSV here instead of stdout")
@@ -138,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="injected per-task base delay, ms")
     p_run.add_argument("--inject-lambda-inv", type=_nonneg_float, default=0.0,
                        help="injected exponential tail mean, ms")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_nonneg_int, default=0)
     p_run.add_argument("--trace", help="write per-task trace CSV here")
     p_run.set_defaults(func=_cmd_run)
 
@@ -321,7 +328,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (FieldTooSmall, Infeasible) as err:
+    except FieldTooSmall as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except JobFailed as err:

@@ -1,24 +1,21 @@
-"""Constrained search for the partition scheme with lowest simulated latency.
+"""Budget-constrained search for the partition scheme with lowest simulated latency.
 
-The search space is the box [1..p0_cap] x [1..p1_cap] x [1..p2_cap]; a
-scheme is feasible when its three communication overheads sit within the
-given budgets (exact rational comparison, no floating slack).  The p1 cap
-never needs to be guessed: the download overhead satisfies
-delta_d >= p1 - 1, so any p1 above floor(budget_d) + 1 is infeasible and
-the cap is derived.  With no download budget, an explicit p1 cap is
-required to keep the box finite.
+For each scheme and overhead budget the search space is the box
+[1..p0_cap] x [1..p1_cap] x [1..p2_cap]; a scheme is feasible when its three
+communication overheads all sit within the budget (exact rational
+comparison, no floating slack).  The p1 cap never needs to be guessed: the
+download overhead satisfies delta_d >= p1 - 1, so any p1 above
+floor(budget) + 1 is infeasible and the cap is derived.
 
 Every candidate is simulated under one `straggler_sim.SimTemplate`, the
-model `coded-matmul simulate` reads too.  A search draws one pooled
-completion table, up to the largest R_th of its candidates, and reads each
-candidate's trial latencies off it as column R_th - 1 over K; a trade-off
-sweep draws one table for all its cells, enumerates each kind's box once
-and scores each candidate once.  A column does not depend on how far the
-table was drawn, so a candidate gets the same estimate in every search,
-in every sweep and from `estimate_mean_latency(sim, R_th, K)`.
-Cross-budget comparisons are therefore exact: a larger budget's feasible
-set contains the smaller one's, and the minimum over a superset of
-identical values cannot increase.
+model `coded-matmul simulate` reads too.  A trade-off sweep enumerates each
+kind's box once, draws one pooled completion table for all its cells, up
+to the largest R_th of its candidates, and scores each candidate once, as
+column R_th - 1 over K.  A column does not depend on how far the table was
+drawn, so a candidate gets the same estimate in every sweep and from
+`estimate_mean_latency(sim, R_th, K)`.  Cross-budget comparisons are
+therefore exact: a larger budget's feasible set contains the smaller one's,
+and the minimum over a superset of identical values cannot increase.
 """
 
 from __future__ import annotations
@@ -35,56 +32,13 @@ from .schemes import SchemeKind, recovery_threshold, upload_counts
 from .straggler_sim import LatencyEstimate, SimTemplate, completion_table, summarize
 
 
-class Infeasible(ValueError):
-    """No partition scheme satisfies the budgets within the caps."""
-
-
-def _as_budget(value) -> Fraction | None:
+def _as_budget(value) -> Fraction:
     """Budgets are exact rationals; floats are read as their decimal literal."""
-    if value is None or isinstance(value, Fraction):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    kind: SchemeKind
-    budget_u0: Fraction | None
-    budget_u1: Fraction | None
-    budget_d: Fraction | None
-    p0_cap: int
-    p2_cap: int
-    sim: SimTemplate
-    p1_cap: int | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("budget_u0", "budget_u1", "budget_d"):
-            object.__setattr__(self, name, _as_budget(getattr(self, name)))
-        if min(self.p0_cap, self.p2_cap, 1 if self.p1_cap is None else self.p1_cap) < 1:
-            raise ValueError("partition caps must be >= 1")
-        if self.budget_d is None and self.p1_cap is None:
-            raise ValueError(
-                "p1 is unbounded: give a download budget or an explicit p1_cap"
-            )
-
-    @property
-    def effective_p1_cap(self) -> int:
-        if self.budget_d is None:
-            return self.p1_cap  # type: ignore[return-value]
-        derived = math.floor(self.budget_d) + 1
-        if self.p1_cap is not None:
-            return min(derived, self.p1_cap)
-        return derived
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    best: PartitionScheme
-    report: OverheadReport
-    latency: LatencyEstimate
-    feasible_count: int
 
 
 @dataclass(frozen=True)
@@ -106,35 +60,35 @@ class _Candidate(NamedTuple):
     binding: Fraction  # max(delta_u0, delta_u1, delta_d)
 
 
-def _within(count: int, size: int, budget: Fraction | None) -> bool:
-    """count / size - 1 <= budget, compared on integers."""
-    if budget is None:
-        return True
-    return count * budget.denominator <= (budget.numerator + budget.denominator) * size
-
-
-def _feasible(spec: SearchSpec) -> list[_Candidate]:
-    """Every scheme in the box meeting all three budgets, lexicographic.
+def _feasible(
+    kind: SchemeKind, budget: Fraction, p0_cap: int, p2_cap: int, force_p1_single: bool
+) -> list[_Candidate]:
+    """Every scheme in the box whose three overheads fit the budget, lexicographic.
 
     Over the common denominator K, the overheads `overheads` defines are
-    R0 p2 / K - 1, R1 p0 / K - 1 and R_th p1 / K - 1, so the budgets are
-    checked and the binding overhead is picked on integers."""
-    budgets = (spec.budget_u0, spec.budget_u1, spec.budget_d)
+    R0 p2 / K - 1, R1 p0 / K - 1 and R_th p1 / K - 1, so the binding one,
+    the largest, is picked and checked against the budget on integers."""
+    if min(p0_cap, p2_cap) < 1:
+        raise ValueError("partition caps must be >= 1")
+    num, den = budget.numerator, budget.denominator
+    p1_cap = 1 if force_p1_single else math.floor(budget) + 1
     out = []
-    for p0 in range(1, spec.p0_cap + 1):
-        for p1 in range(1, spec.effective_p1_cap + 1):
-            for p2 in range(1, spec.p2_cap + 1):
+    for p0 in range(1, p0_cap + 1):
+        for p1 in range(1, p1_cap + 1):
+            for p2 in range(1, p2_cap + 1):
                 p, k = PartitionScheme(p0, p1, p2), p0 * p1 * p2
-                (r0, r1), rth = upload_counts(spec.kind, p), recovery_threshold(spec.kind, p)
-                scaled = (r0 * p2, r1 * p0, rth * p1)
-                if all(_within(c, k, b) for c, b in zip(scaled, budgets)):
-                    out.append(_Candidate(p, rth, Fraction(max(scaled) - k, k)))
+                (r0, r1), rth = upload_counts(kind, p), recovery_threshold(kind, p)
+                top = max(r0 * p2, r1 * p0, rth * p1)
+                if top * den <= (num + den) * k:
+                    out.append(_Candidate(p, rth, Fraction(top - k, k)))
     return out
 
 
-def feasible_partitions(spec: SearchSpec) -> list[PartitionScheme]:
-    """Every scheme in the box meeting all three budgets, lexicographic."""
-    return [c.p for c in _feasible(spec)]
+def feasible_partitions(
+    kind: SchemeKind, budget, *, p0_cap: int, p2_cap: int, force_p1_single: bool = False
+) -> list[PartitionScheme]:
+    """Every scheme in the box whose three overheads fit the budget, lexicographic."""
+    return [c.p for c in _feasible(kind, _as_budget(budget), p0_cap, p2_cap, force_p1_single)]
 
 
 def _score(sim: SimTemplate, boxes: list[list[_Candidate]]) -> list[list[LatencyEstimate]]:
@@ -157,15 +111,6 @@ def _rank(scored: tuple[_Candidate, LatencyEstimate]) -> tuple:
     return est.mean, p.K, (p.p0, p.p1, p.p2)
 
 
-def search_best_partition(spec: SearchSpec) -> SearchResult:
-    """Simulate every feasible scheme; keep the lowest mean latency, ties by `_rank`."""
-    feasible = _feasible(spec)
-    if not feasible:
-        raise Infeasible(f"no feasible partition for {spec.kind.value} within budgets")
-    best, est = min(zip(feasible, _score(spec.sim, [feasible])[0]), key=_rank)
-    return SearchResult(best.p, compute_overheads(spec.kind, best.p), est, len(feasible))
-
-
 def tradeoff_curve(
     kinds: list[SchemeKind],
     budgets: list,
@@ -175,9 +120,9 @@ def tradeoff_curve(
     sim: SimTemplate,
     force_p1_single: bool = False,
 ) -> list[TradeoffRow]:
-    """For each (kind, budget), the row `search_best_partition` gives with
-    that budget on all three constraints; infeasible cells become marked
-    rows, not gaps.
+    """For each (kind, budget), the feasible scheme with the lowest mean
+    latency, ties by `_rank`, with that budget on all three overheads;
+    infeasible cells become marked rows, not gaps.
 
     A cell's feasible set is the candidates of the largest budget whose
     binding overhead is within its budget.  So each kind's box is enumerated
@@ -187,8 +132,7 @@ def tradeoff_curve(
         raise ValueError("kinds and budgets must be nonempty")
     cells = [_as_budget(b) for b in budgets]
     levels = sorted(set(cells))
-    top, p1_cap = levels[-1], 1 if force_p1_single else None
-    boxes = [_feasible(SearchSpec(k, top, top, top, p0_cap, p2_cap, sim, p1_cap)) for k in kinds]
+    boxes = [_feasible(k, levels[-1], p0_cap, p2_cap, force_p1_single) for k in kinds]
     rows = []
     for kind, box, estimates in zip(kinds, boxes, _score(sim, boxes)):
         buckets: list[list] = [[] for _ in levels]  # by the smallest budget met

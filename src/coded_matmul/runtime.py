@@ -85,6 +85,8 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in ("dynamic", "static"):
             raise ValueError(f"mode must be 'dynamic' or 'static', got {self.mode!r}")
         factors = self.worker_delay_factors

@@ -38,6 +38,8 @@ class SimTemplate:
     def __post_init__(self) -> None:
         if self.N < 1 or self.trials < 1:
             raise ValueError(f"N and trials must be >= 1, got {self}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.T0 < math.inf:
             raise ValueError(f"T0 must be >= 0 and finite, got {self.T0}")
         if not 0 < self.lam < math.inf:

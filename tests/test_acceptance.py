@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
-from coded_matmul.optimizer import SearchSpec, feasible_partitions, tradeoff_curve
+from coded_matmul.optimizer import feasible_partitions, tradeoff_curve
 from coded_matmul.overheads import compute_overheads
 from coded_matmul.runtime import InjectedDelay, JobSpec, run_job
 from coded_matmul.schemes import (
@@ -234,8 +234,8 @@ def test_latency_ordering_across_budgets():
         budget b and simulated as `simulate` would at the sweep's settings,
         which is exactly what the sweep gives that partition."""
         w = p1_single_witness(kind, K, b)
-        spec = SearchSpec(kind, b, b, b, p0_cap=w.p0, p2_cap=w.p2, sim=sim, p1_cap=1)
-        assert w in feasible_partitions(spec), (
+        box = feasible_partitions(kind, b, p0_cap=w.p0, p2_cap=w.p2, force_p1_single=True)
+        assert w in box, (
             f"budget {float(b)}: witness {kind.value} ({w.p0},1,{w.p2}) infeasible"
         )
         est = estimate_mean_latency(sim, recovery_threshold(kind, w), w.K)
@@ -311,19 +311,8 @@ def test_latency_ordering_across_budgets():
 
 @criterion(7, "feasible-set structure under budgets")
 def test_feasible_set_structure():
-    sim = SimTemplate(N=10, T0=1.0, lam=1.0, trials=10, seed=0)
-
     def feasible(kind, budget):
-        spec = SearchSpec(
-            kind=kind,
-            budget_u0=budget,
-            budget_u1=budget,
-            budget_d=budget,
-            p0_cap=10,
-            p2_cap=10,
-            sim=sim,
-        )
-        return set(feasible_partitions(spec))
+        return set(feasible_partitions(kind, budget, p0_cap=10, p2_cap=10))
 
     assert feasible(SchemeKind.EPC, Fraction(0)) == {PartitionScheme(1, 1, 1)}
     tri_zero = feasible(SchemeKind.TRI, Fraction(0))

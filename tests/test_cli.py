@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.optimizer import TRADEOFF_CSV_HEADER
 
 F_BIG = PrimeModulus(DEFAULT_MODULUS)
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +138,14 @@ def test_non_finite_model_values_exit_one(capsys, command, flag, value):
     assert err.startswith("error: ") and f"argument {flag}" in err and "finite" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "tradeoff", "run"])
+def test_negative_seed_exits_one_naming_the_flag(capsys, command):
+    # Rejected while parsing, before a simulation draws or a worker starts.
+    rc, out, err = run_cli(capsys, *_MODEL_ARGV[command], "--seed", "-1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "argument --seed" in err and ">= 0" in err
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run_cli(capsys, "--help")
     assert rc == 0
@@ -235,6 +245,17 @@ def test_multiply_non_integer_entry_names_line_exits_one(capsys, tmp_path):
     )
     assert rc == 1
     assert out == "" and err.startswith(f"error: {pa}:7: ")
+
+
+def test_multiply_non_utf8_file_names_path_exits_one(capsys, tmp_path):
+    _, _, pa, pb = write_pair(tmp_path)
+    (tmp_path / "a.mat").write_bytes(b"\xff\xfe6 6 2147483647\n")
+    rc, out, err = run_cli(
+        capsys, "multiply", "--scheme", "epc",
+        "--p0", "1", "--p1", "1", "--p2", "1", "--a", pa, "--b", pb,
+    )
+    assert rc == 1
+    assert out == "" and err.startswith(f"error: {pa}: ")
 
 
 def test_multiply_q_override_recomputes_in_that_field(capsys, tmp_path):
@@ -338,6 +359,21 @@ def test_tradeoff_csv_schema_and_stability(capsys):
 
     rc2, out2, _ = run_cli(capsys, *argv)
     assert out2 == out
+
+
+@pytest.mark.parametrize(
+    "extra, golden", [((), "tradeoff_seed3.csv"), (("--force-p1-1",), "tradeoff_seed3_p1_1.csv")]
+)
+def test_tradeoff_csv_matches_golden_file(capsys, extra, golden):
+    # Unsorted budgets with a negative, a zero and a fraction, all four
+    # schemes; the files pin every byte, floats included.
+    rc, out, err = run_cli(
+        capsys, "tradeoff", "--schemes", "all", "--budgets", "0.5,1,2,4,8,-1,0,3/2",
+        "--workers", "300", "--lambda-inv", "10", "--t0", "1",
+        "--p0-cap", "6", "--p2-cap", "6", "--trials", "50", "--seed", "3", *extra,
+    )
+    assert rc == 0 and err == ""
+    assert out.encode() == (DATA / golden).read_bytes()
 
 
 def test_tradeoff_out_file_matches_stdout(capsys, tmp_path):

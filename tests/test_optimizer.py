@@ -1,16 +1,19 @@
-"""Constrained partition search tests.
+"""Budget-constrained partition search tests.
 
 The feasibility oracle here re-derives each scheme's overheads from the
 closed forms (written out per kind, independent of the overheads module)
 and filters the search box directly; the library's feasible set must match
-it exactly.  Latency-side checks use analytic anchors and the exactness
-that one pooled draw per trial gives to comparisons between candidates:
-every search reads a candidate's latency off the same table column, which
-`estimate_mean_latency` reproduces bit for bit.
+it exactly.  The sweep's rows are checked against a brute-force search of
+each cell alone: the oracle's feasible set, each candidate simulated by
+`estimate_mean_latency` on its own, and the minimum taken by the tie-break
+rule written out here.  Latency-side checks also use analytic anchors and
+the exactness that one pooled draw per trial gives to comparisons between
+candidates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -19,15 +22,13 @@ import pytest
 from coded_matmul import optimizer
 from coded_matmul.blockmat import PartitionScheme
 from coded_matmul.optimizer import (
-    Infeasible,
-    SearchSpec,
     SimTemplate,
     TradeoffRow,
     feasible_partitions,
     render_tradeoff_csv,
-    search_best_partition,
     tradeoff_curve,
 )
+from coded_matmul.overheads import compute_overheads
 from coded_matmul.schemes import SchemeKind, recovery_threshold
 from coded_matmul.straggler_sim import estimate_mean_latency
 
@@ -70,174 +71,112 @@ def oracle_feasible(
     return out
 
 
-def equal_budget_spec(kind: SchemeKind, budget, caps=(10, 10), sim=SIM, **kw) -> SearchSpec:
-    return SearchSpec(
-        kind=kind,
-        budget_u0=budget,
-        budget_u1=budget,
-        budget_d=budget,
-        p0_cap=caps[0],
-        p2_cap=caps[1],
-        sim=sim,
-        **kw,
-    )
+def feasible_set(kind: SchemeKind, budget, caps=(10, 10), **kw) -> set[tuple[int, int, int]]:
+    got = feasible_partitions(kind, budget, p0_cap=caps[0], p2_cap=caps[1], **kw)
+    return {(p.p0, p.p1, p.p2) for p in got}
+
+
+def one_cell(kind: SchemeKind, budget, caps=(10, 10), sim=SIM, **kw) -> TradeoffRow:
+    (row,) = tradeoff_curve([kind], [budget], p0_cap=caps[0], p2_cap=caps[1], sim=sim, **kw)
+    return row
 
 
 def test_zero_budget_epc_only_trivial_scheme() -> None:
-    spec = equal_budget_spec(SchemeKind.EPC, 0)
-    assert feasible_partitions(spec) == [PartitionScheme(1, 1, 1)]
+    got = feasible_partitions(SchemeKind.EPC, 0, p0_cap=10, p2_cap=10)
+    assert got == [PartitionScheme(1, 1, 1)]
 
 
 def test_zero_budget_tri_all_p1_equal_1() -> None:
-    spec = equal_budget_spec(SchemeKind.TRI, 0)
-    got = feasible_partitions(spec)
+    got = feasible_partitions(SchemeKind.TRI, 0, p0_cap=10, p2_cap=10)
     assert len(got) == 100
     assert {(p.p0, p.p1, p.p2) for p in got} == {
         (p0, 1, p2) for p0 in range(1, 11) for p2 in range(1, 11)
     }
 
 
-def test_unbounded_budgets_full_box() -> None:
-    spec = SearchSpec(
-        kind=SchemeKind.BI0,
-        budget_u0=None,
-        budget_u1=None,
-        budget_d=None,
-        p0_cap=3,
-        p2_cap=4,
-        sim=SIM,
-        p1_cap=2,
-    )
-    assert len(feasible_partitions(spec)) == 3 * 2 * 4
-
-
-def test_unbounded_download_budget_needs_explicit_p1_cap() -> None:
-    with pytest.raises(ValueError):
-        SearchSpec(
-            kind=SchemeKind.EPC,
-            budget_u0=None,
-            budget_u1=None,
-            budget_d=None,
-            p0_cap=2,
-            p2_cap=2,
-            sim=SIM,
-        )
-
-
-@pytest.mark.parametrize("p1_cap", [0, -3])
-def test_p1_cap_below_one_rejected(p1_cap: int) -> None:
-    # Same check as the p0 and p2 caps; an empty p1 range is a bad spec,
-    # not an infeasible budget.
+@pytest.mark.parametrize("caps", [(0, 3), (3, 0), (-2, -2)])
+def test_partition_caps_below_one_rejected(caps: tuple[int, int]) -> None:
+    # An empty box is a bad request, not an infeasible budget.
     with pytest.raises(ValueError, match="partition caps must be >= 1"):
-        equal_budget_spec(SchemeKind.TRI, 4, p1_cap=p1_cap)
+        feasible_partitions(SchemeKind.TRI, 4, p0_cap=caps[0], p2_cap=caps[1])
+    with pytest.raises(ValueError, match="partition caps must be >= 1"):
+        tradeoff_curve([SchemeKind.TRI], [4], p0_cap=caps[0], p2_cap=caps[1], sim=SIM)
 
 
 def test_feasible_set_matches_closed_form_oracle() -> None:
     for kind in ALL_KINDS:
         for budget in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(8)):
-            spec = equal_budget_spec(kind, budget, caps=(6, 6))
-            got = {(p.p0, p.p1, p.p2) for p in feasible_partitions(spec)}
+            got = feasible_set(kind, budget, caps=(6, 6))
             p1_cap = int(budget) + 1
             assert got == oracle_feasible(kind, budget, 6, 6, p1_cap)
 
 
 def test_derived_p1_cap_is_reachable() -> None:
     # Budget 2.5 allows p1 = 3 for epc once p0*p2 >= 4 (delta_d = 2 + 2/(p0 p2)).
-    spec = equal_budget_spec(SchemeKind.EPC, Fraction(5, 2), caps=(10, 10))
-    got = feasible_partitions(spec)
-    assert max(p.p1 for p in got) == 3 == math.floor(Fraction(5, 2)) + 1
+    got = feasible_set(SchemeKind.EPC, Fraction(5, 2), caps=(10, 10))
+    assert max(p1 for _, p1, _ in got) == 3 == math.floor(Fraction(5, 2)) + 1
 
 
 def test_feasible_sets_nest_with_budget() -> None:
     budgets = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
     for kind in ALL_KINDS:
-        sets = []
-        for b in budgets:
-            spec = equal_budget_spec(kind, b, caps=(5, 5))
-            sets.append({(p.p0, p.p1, p.p2) for p in feasible_partitions(spec)})
+        sets = [feasible_set(kind, b, caps=(5, 5)) for b in budgets]
         for small, large in zip(sets, sets[1:]):
             assert small <= large
 
 
 def test_lexicographic_enumeration_order() -> None:
-    spec = equal_budget_spec(SchemeKind.TRI, 0, caps=(2, 2))
-    got = [(p.p0, p.p1, p.p2) for p in feasible_partitions(spec)]
-    assert got == [(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2)]
+    got = feasible_partitions(SchemeKind.TRI, 0, p0_cap=2, p2_cap=2)
+    assert [(p.p0, p.p1, p.p2) for p in got] == [(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2)]
 
 
 def test_search_single_feasible_scheme() -> None:
-    res = search_best_partition(equal_budget_spec(SchemeKind.EPC, 0, caps=(4, 4)))
-    assert res.best == PartitionScheme(1, 1, 1)
-    assert res.feasible_count == 1
-    assert res.report.R_th == 1
-    assert res.latency.trials == SIM.trials
+    assert feasible_set(SchemeKind.EPC, 0, caps=(4, 4)) == {(1, 1, 1)}
+    row = one_cell(SchemeKind.EPC, 0, caps=(4, 4))
+    assert row.p == PartitionScheme(1, 1, 1)
+    assert row.report.R_th == 1
+    est = estimate_mean_latency(SIM, 1, 1)
+    assert est.trials == SIM.trials
+    assert (row.mean_latency, row.stderr) == (est.mean, est.stderr)
 
 
 def test_search_epc_zero_budget_latency_analytic() -> None:
     # K = 1, R_th = 1: first of N shifted exponentials, mean T0 + 1/(N lam).
     sim = SimTemplate(N=50, T0=1.0, lam=0.1, trials=3000, seed=13)
-    res = search_best_partition(equal_budget_spec(SchemeKind.EPC, 0, sim=sim))
+    row = one_cell(SchemeKind.EPC, 0, sim=sim)
     expected = sim.T0 + 1.0 / (sim.N * sim.lam)
-    assert abs(res.latency.mean - expected) <= 3 * res.latency.stderr
+    assert abs(row.mean_latency - expected) <= 3 * row.stderr
 
 
 def test_search_prefers_finer_partition_at_equal_ratio() -> None:
     # (4,1,4) has the same R_th/K as (2,1,2) but a smaller per-subtask shift.
+    # tri ships no overhead at p1 = 1, so the budget admits the whole box.
     sim = SimTemplate(N=50, T0=1.0, lam=0.1, trials=2000, seed=14)
-    spec = SearchSpec(
-        kind=SchemeKind.TRI,
-        budget_u0=None,
-        budget_u1=None,
-        budget_d=None,
-        p0_cap=4,
-        p2_cap=4,
-        sim=sim,
-        p1_cap=1,
-    )
-    res = search_best_partition(spec)
-    assert res.best == PartitionScheme(4, 1, 4)
+    assert len(feasible_set(SchemeKind.TRI, 0, caps=(4, 4), force_p1_single=True)) == 16
+    row = one_cell(SchemeKind.TRI, 0, caps=(4, 4), sim=sim, force_p1_single=True)
+    assert row.p == PartitionScheme(4, 1, 4)
 
 
-def test_search_infeasible_raises() -> None:
-    spec = equal_budget_spec(SchemeKind.TRI, Fraction(-1), caps=(3, 3))
-    assert feasible_partitions(spec) == []
-    with pytest.raises(Infeasible):
-        search_best_partition(spec)
+def test_search_infeasible_cell_is_marked_row() -> None:
+    assert feasible_partitions(SchemeKind.TRI, Fraction(-1), p0_cap=3, p2_cap=3) == []
+    row = one_cell(SchemeKind.TRI, Fraction(-1), caps=(3, 3))
+    assert row == TradeoffRow(SchemeKind.TRI, Fraction(-1), False, None, None, None, None)
 
 
 def test_search_deterministic_and_identical_across_kinds_at_p1_single() -> None:
     # With p1 = 1 all kinds describe the same job, so independent searches
-    # must give them bit-identical latency estimates.
-    results = {}
+    # must give them bit-identical latency estimates.  At budget 2 no
+    # kind's overheads bind in the 3 x 1 x 3 box.
+    rows = {}
     for kind in ALL_KINDS:
-        spec = SearchSpec(
-            kind=kind,
-            budget_u0=None,
-            budget_u1=None,
-            budget_d=None,
-            p0_cap=3,
-            p2_cap=3,
-            sim=SIM,
-            p1_cap=1,
-        )
-        results[kind] = search_best_partition(spec)
-    means = {r.latency.mean for r in results.values()}
-    bests = {r.best for r in results.values()}
+        assert len(feasible_set(kind, 2, caps=(3, 3), force_p1_single=True)) == 9
+        rows[kind] = one_cell(kind, 2, caps=(3, 3), force_p1_single=True)
+    means = {r.mean_latency for r in rows.values()}
+    bests = {r.p for r in rows.values()}
     assert len(means) == 1
     assert len(bests) == 1
-    again = search_best_partition(
-        SearchSpec(
-            kind=SchemeKind.EPC,
-            budget_u0=None,
-            budget_u1=None,
-            budget_d=None,
-            p0_cap=3,
-            p2_cap=3,
-            sim=SIM,
-            p1_cap=1,
-        )
-    )
-    assert again.latency == results[SchemeKind.EPC].latency
+    again = one_cell(SchemeKind.EPC, 2, caps=(3, 3), force_p1_single=True)
+    assert again == rows[SchemeKind.EPC]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -247,11 +186,12 @@ def test_search_latency_equals_standalone_estimate(kind: SchemeKind) -> None:
     # computes for that partition alone.  At these settings every kind's
     # winner has a smaller R_th than the deepest candidate.
     sim = SimTemplate(N=10, T0=1.0, lam=0.1, trials=400, seed=42)
-    spec = equal_budget_spec(kind, 4, caps=(4, 4), sim=sim)
-    res = search_best_partition(spec)
-    deepest = max(recovery_threshold(kind, p) for p in feasible_partitions(spec))
-    assert res.report.R_th < deepest
-    assert res.latency == estimate_mean_latency(sim, res.report.R_th, res.best.K)
+    row = one_cell(kind, 4, caps=(4, 4), sim=sim)
+    candidates = feasible_partitions(kind, 4, p0_cap=4, p2_cap=4)
+    deepest = max(recovery_threshold(kind, p) for p in candidates)
+    assert row.report.R_th < deepest
+    est = estimate_mean_latency(sim, row.report.R_th, row.p.K)
+    assert (row.mean_latency, row.stderr) == (est.mean, est.stderr)
 
 
 @pytest.mark.parametrize(
@@ -315,26 +255,38 @@ def test_tradeoff_csv_schema_and_stability() -> None:
     assert render_tradeoff_csv(rows2) == text
 
 
-def searched_alone(kind: SchemeKind, budget: Fraction, force_p1_single: bool) -> TradeoffRow:
-    """The row one search gives for the cell, as the sweep should give it."""
-    spec = equal_budget_spec(
-        kind, budget, caps=(4, 3), p1_cap=1 if force_p1_single else None
-    )
-    try:
-        res = search_best_partition(spec)
-    except Infeasible:
+@functools.cache
+def simulated_alone(sim: SimTemplate, R_th: int, K: int):
+    return estimate_mean_latency(sim, R_th, K)
+
+
+def brute_force_row(
+    kind: SchemeKind, budget: Fraction, caps: tuple[int, int], sim: SimTemplate,
+    force_p1_single: bool,
+) -> TradeoffRow:
+    """The cell searched alone, sharing no code with the sweep: the
+    closed-form feasible set (p1 enumerated one past the derived cap), each
+    candidate simulated on its own, the minimum by (mean, K, (p0, p1, p2))."""
+    p1_cap = 1 if force_p1_single else math.floor(budget) + 2
+    best = None
+    for p0, p1, p2 in oracle_feasible(kind, budget, caps[0], caps[1], p1_cap):
+        p = PartitionScheme(p0, p1, p2)
+        est = simulated_alone(sim, compute_overheads(kind, p).R_th, p.K)
+        key = (est.mean, p.K, (p0, p1, p2))
+        if best is None or key < best[0]:
+            best = key, p, est
+    if best is None:
         return TradeoffRow(kind, budget, False, None, None, None, None)
-    return TradeoffRow(
-        kind, budget, True, res.best, res.report, res.latency.mean, res.latency.stderr
-    )
+    _, p, est = best
+    return TradeoffRow(kind, budget, True, p, compute_overheads(kind, p), est.mean, est.stderr)
 
 
 @pytest.mark.parametrize("force_p1_single", [False, True])
 def test_sweep_equals_cells_searched_one_by_one(force_p1_single: bool) -> None:
     # Unsorted budgets with a duplicate, a negative and a zero.  The sweep
-    # draws one table deeper than most cells' searches, scores candidates
-    # once and walks the budgets in ascending order; every row must still
-    # equal its own search, floats compared with ==.
+    # draws one table deeper than most cells need, scores candidates once
+    # and walks the budgets in ascending order; every row must still equal
+    # its cell searched alone by brute force, floats compared with ==.
     budgets = [Fraction(4), Fraction(1, 2), Fraction(8), Fraction(1, 2), Fraction(-1), Fraction(0)]
     rows = tradeoff_curve(
         ALL_KINDS, budgets, p0_cap=4, p2_cap=3, sim=SIM, force_p1_single=force_p1_single
@@ -342,8 +294,24 @@ def test_sweep_equals_cells_searched_one_by_one(force_p1_single: bool) -> None:
     assert len(rows) == len(ALL_KINDS) * len(budgets)
     cells = [(kind, b) for kind in ALL_KINDS for b in budgets]
     for row, (kind, b) in zip(rows, cells):
-        assert row == searched_alone(kind, b, force_p1_single)
+        assert row == brute_force_row(kind, b, (4, 3), SIM, force_p1_single)
     assert [r.feasible for r in rows].count(False) == len(ALL_KINDS)
+
+
+@pytest.mark.parametrize("force_p1_single", [False, True])
+def test_sweep_breaks_ties_like_the_brute_force_search(force_p1_single: bool) -> None:
+    # Few trials on few workers: candidates with equal R_th and K tie on
+    # the mean, so K and then (p0, p1, p2) pick rows such as epc's
+    # (1,1,2) over (2,1,1) at budget 1 and tri's (2,1,3) over (3,1,2).
+    sim = SimTemplate(N=3, T0=1.0, lam=0.1, trials=20, seed=0)
+    budgets = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    rows = tradeoff_curve(
+        ALL_KINDS, budgets, p0_cap=3, p2_cap=3, sim=sim, force_p1_single=force_p1_single
+    )
+    cells = [(kind, b) for kind in ALL_KINDS for b in budgets]
+    assert [(r.kind, r.budget) for r in rows] == cells
+    for row, (kind, b) in zip(rows, cells):
+        assert row == brute_force_row(kind, b, (3, 3), sim, force_p1_single)
 
 
 @pytest.mark.parametrize(

@@ -261,6 +261,8 @@ def test_validation() -> None:
         make_spec(SchemeKind.TRI, workers=0)
     with pytest.raises(ValueError):
         make_spec(SchemeKind.TRI, mode="eager")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        make_spec(SchemeKind.TRI, seed=-1)  # before run_job can start a thread
     with pytest.raises(ValueError):
         make_spec(SchemeKind.TRI, worker_delay_factors=(1.0, 2.0))  # wrong length
     for t0_ms, lam_inv_ms in [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (-1.0, 0.0)]:

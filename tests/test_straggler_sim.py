@@ -59,6 +59,7 @@ def test_model_validation() -> None:
         ("lam", math.inf, "lam must be > 0 and finite"),
         ("N", 0, "N and trials must be >= 1"),
         ("trials", 0, "N and trials must be >= 1"),
+        ("seed", -1, "seed must be >= 0"),
     ]:
         with pytest.raises(ValueError, match=message):
             SimTemplate(**{**good, field: value})
