@@ -86,7 +86,14 @@ class Matrix:
     modulus: PrimeModulus
 
     def __post_init__(self) -> None:
-        arr = field_array(self.data, self.modulus.q)
+        q = self.modulus.q
+        try:
+            arr = np.asarray(self.data, dtype=np.int64)
+        except OverflowError:
+            arr = None
+        if arr is None or arr.size and (arr.min() < 0 or arr.max() >= q):
+            raise ValueError(f"matrix entries must be residues in [0, {q})")
+        arr = field_array(arr, q)
         if arr.size != self.rows * self.cols:
             raise ShapeError(f"expected {self.rows * self.cols} entries, got {arr.size}")
         arr = arr.reshape(self.rows, self.cols)

@@ -328,10 +328,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except FieldTooSmall as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except JobFailed as err:
+    except (FieldTooSmall, JobFailed) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:

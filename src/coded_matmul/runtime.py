@@ -28,6 +28,7 @@ import math
 import queue
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +78,7 @@ class JobSpec:
     M0: Matrix
     M1: Matrix
     workers: int
-    delay: InjectedDelay | None = None
+    delay: InjectedDelay = InjectedDelay(0.0, 0.0)
     worker_delay_factors: tuple[float, ...] | None = None
     seed: int = 0
     mode: str = "dynamic"
@@ -116,11 +117,7 @@ class JobTrace:
     encode_counts: tuple[int, int] = field(default=(0, 0))
 
 
-def _delay_ms(
-    delay: InjectedDelay | None, K: int, rng: np.random.Generator, factor: float
-) -> float:
-    if delay is None:
-        return 0.0
+def _delay_ms(delay: InjectedDelay, K: int, rng: np.random.Generator, factor: float) -> float:
     tail = rng.standard_exponential() * delay.lam_inv_ms if delay.lam_inv_ms > 0 else 0.0
     return (delay.t0_ms + tail) / K * factor
 
@@ -149,41 +146,34 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     tasks = list(zip(range(len(grid.tasks)), grid.tasks, shares0, shares1))
 
     # Start no thread for workers past the task count: none would get a
-    # task.  Static task i goes to worker i mod workers, below n_threads.
+    # task.  Task i goes to inbox i mod n_threads, which for every task is
+    # i mod workers; dynamic mode shares one inbox among all threads.
     n_threads = min(spec.workers, len(tasks))
     if spec.mode == "dynamic":
-        shared: queue.Queue = queue.Queue()
-        for t in tasks:
-            shared.put(t)
-        for _ in range(n_threads):
-            shared.put(None)
-        inboxes = [shared] * n_threads
+        inboxes = [queue.SimpleQueue()] * n_threads
     else:
-        inboxes = [queue.Queue() for _ in range(n_threads)]
-        for t in tasks:
-            inboxes[t[0] % spec.workers].put(t)
-        for box in inboxes:
-            box.put(None)
+        inboxes = [queue.SimpleQueue() for _ in range(n_threads)]
+    for t in tasks:
+        inboxes[t[0] % n_threads].put(t)
+    for box in inboxes:
+        box.put(None)
 
+    # Workers post (record, result) per task, an error string per failed
+    # task, and None when they exit.
     outbox: queue.Queue = queue.Queue()
     job_start = time.perf_counter()
 
     def now_ms() -> float:
         return (time.perf_counter() - job_start) * 1000.0
 
-    def worker_loop(wid: int, inbox: queue.Queue) -> None:
+    def worker_loop(wid: int, inbox: queue.SimpleQueue) -> None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, wid))))
         factor = (
             spec.worker_delay_factors[wid]
             if spec.worker_delay_factors is not None
             else 1.0
         )
-        while True:
-            msg = inbox.get()
-            if msg is None:
-                outbox.put(("exit", wid))
-                return
-            tid, point, s0, s1 = msg
+        for tid, point, s0, s1 in iter(inbox.get, None):
             start = now_ms()
             try:
                 sleep_ms = _delay_ms(spec.delay, p.K, rng, factor)
@@ -191,9 +181,10 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
                     time.sleep(sleep_ms / 1000.0)
                 product = matrix_multiply(s0, s1)
             except Exception as exc:
-                outbox.put(("error", wid, tid, f"{type(exc).__name__}: {exc}"))
+                outbox.put(f"task {tid} on worker {wid}: {type(exc).__name__}: {exc}")
                 continue
-            outbox.put(("result", wid, tid, point, product, start, now_ms()))
+            outbox.put((TaskRecord(tid, point, wid, start, now_ms()), TaskResult(point, product)))
+        outbox.put(None)
 
     threads = [
         threading.Thread(target=worker_loop, args=(wid, inboxes[wid]), daemon=True)
@@ -202,41 +193,37 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     for t in threads:
         t.start()
 
-    need = len(tasks)
     records: list[TaskRecord] = []
     results: list[TaskResult] = []
-    per_worker = {wid: 0 for wid in range(spec.workers)}
-    first_error: str | None = None
+    errors: list[str] = []
     exited = 0
-    while len(results) < need and exited < n_threads:
+    while len(results) < len(tasks) and exited < n_threads:
         msg = outbox.get()
-        if msg[0] == "result":
-            _, wid, tid, point, product, start, end = msg
-            records.append(TaskRecord(tid, point, wid, start, end))
-            results.append(TaskResult(point, product))
-            per_worker[wid] += 1
-        elif msg[0] == "error":
-            if first_error is None:
-                first_error = f"task {msg[2]} on worker {msg[1]}: {msg[3]}"
-        else:
+        if msg is None:
             exited += 1
+        elif isinstance(msg, str):
+            errors.append(msg)
+        else:
+            records.append(msg[0])
+            results.append(msg[1])
     total_ms = now_ms()
     for t in threads:
         t.join()
 
     records.sort(key=lambda r: r.task_id)
+    done = Counter(r.worker for r in records)
     trace = JobTrace(
         kind=kind,
         mode=spec.mode,
         records=records,
         total_ms=total_ms,
-        per_worker_counts=per_worker,
+        per_worker_counts={wid: done[wid] for wid in range(spec.workers)},
         encode_counts=(encoded0, encoded1),
     )
-    if len(results) < need:
-        raise JobFailed(first_error or "workers exited before finishing", trace)
+    if len(results) < len(tasks):
+        raise JobFailed(errors[0] if errors else "workers exited before finishing", trace)
 
-    product = decode_product(kind, p, grid, results)
+    product = decode_product(kind, p, results=results)
     return product, trace
 
 

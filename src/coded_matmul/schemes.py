@@ -18,11 +18,12 @@ The product polynomial's coefficient at a known monomial equals one block
 of the matrix product.  An input's shares are its block polynomial evaluated
 at the points of its own sub-grid: all of them come from one coefficient
 matrix (one row of monomial values per point) times the input's blocks
-stacked one per row.  Decoding stacks the results into an array shaped by
-the axis sizes, applies each axis's inverse Vandermonde matrix in turn,
-and gathers the product's blocks from their target coefficients.  Both are
-F_q products through `blockmat.modmatmul`, so decoding equality is
-bit-for-bit, not approximate.
+stacked one per row.  Decoding reads each axis's points from the results,
+stacks the results into an array shaped by the axis sizes, applies each
+axis's inverse Vandermonde matrix in turn, and gathers the product's
+blocks from their target coefficients.  Both are F_q products through
+`blockmat.modmatmul`, so decoding equality is bit-for-bit, not
+approximate.
 """
 
 from __future__ import annotations
@@ -174,10 +175,8 @@ def project_point(kind: SchemeKind, input_id: int, point: tuple[int, ...]) -> tu
 class EvaluationGrid:
     """Per-axis point sets and the full task list (their Cartesian product)."""
 
-    kind: SchemeKind
     axes: tuple[tuple[int, ...], ...]
     tasks: tuple[tuple[int, ...], ...]
-    modulus: PrimeModulus
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def evaluation_grid(
         )
     axes = tuple(tuple(range(1, n + 1)) for n in sizes)
     tasks = tuple(itertools.product(*axes))
-    return EvaluationGrid(kind, axes, tasks, field)
+    return EvaluationGrid(axes, tasks)
 
 
 def encode_shares(
@@ -291,52 +290,40 @@ def interpolate_univariate(points, samples: np.ndarray, field: PrimeModulus) -> 
     return modmatmul(inverse, samples.reshape(n, -1), q).reshape(samples.shape)
 
 
-def decode_product(
-    kind: SchemeKind,
-    p: PartitionScheme,
-    grid: EvaluationGrid,
-    results: list[TaskResult],
-) -> Matrix:
+def decode_product(kind: SchemeKind, p: PartitionScheme, results: list[TaskResult]) -> Matrix:
     """Interpolate task results and assemble the p0 x p2 product blocks.
 
-    Multivariate kinds require results covering the Cartesian grid exactly
-    once, in any order.  epc only needs any R_th results at pairwise
-    distinct points: it interpolates on whatever point set was used.
+    Each axis's points are read from the results, in order of first
+    appearance; they must span a Cartesian grid of the code's axis sizes,
+    covered exactly once, in any order.  epc is the one-axis case: any
+    R_th results at pairwise distinct points.
     """
-    rth = recovery_threshold(kind, p)
-    if not results:
-        raise IncompleteResults(f"no results; {rth} required")
-    shape = (results[0].block.rows, results[0].block.cols)
+    sizes = _CODES[kind].sizes(p)
     for r in results:
-        if (r.block.rows, r.block.cols) != shape:
-            raise ShapeError("task result blocks differ in shape")
-
-    if kind is SchemeKind.EPC:
-        for r in results:
-            if len(r.point) != 1:
-                raise PointArityError("epc task points have one coordinate")
-        axes = (tuple(r.point[0] for r in results),)
-        if len(results) != rth or len(set(axes[0])) != rth:
-            raise IncompleteResults(
-                f"epc needs {rth} results at distinct points, got {len(results)}"
+        if len(r.point) != len(sizes):
+            raise PointArityError(
+                f"{kind.value} task point needs {len(sizes)} coordinates, got {len(r.point)}"
             )
-        samples = [r.block for r in results]
-    else:
-        lookup = {r.point: r.block for r in results}
-        if len(lookup) != len(results) or set(lookup) != set(grid.tasks):
-            raise IncompleteResults(
-                f"results must cover the {len(grid.tasks)}-task grid exactly once"
-            )
-        axes = grid.axes
-        samples = [lookup[t] for t in grid.tasks]
+    axes = [tuple(dict.fromkeys(r.point[k] for r in results)) for k in range(len(sizes))]
+    lookup = {r.point: r.block for r in results}
+    if not len(results) == len(lookup) == math.prod(sizes) or tuple(map(len, axes)) != sizes:
+        raise IncompleteResults(
+            f"{kind.value} needs results covering a {' x '.join(map(str, sizes))} grid "
+            f"of distinct points exactly once, got {len(results)}"
+        )
+    first = results[0].block
+    for r in results:
+        if (r.block.data.shape, r.block.modulus) != (first.data.shape, first.modulus):
+            raise ShapeError("task result blocks differ in shape or modulus")
 
     # Axis k of `coeffs` runs over the points of axis k until it is
     # interpolated, and over that variable's exponents after.
-    coeffs = np.stack([s.data for s in samples]).reshape(tuple(map(len, axes)) + shape)
+    samples = [lookup[t].data for t in itertools.product(*axes)]
+    coeffs = np.stack(samples).reshape(sizes + first.data.shape)
     for k, points in enumerate(axes):
-        along = interpolate_univariate(points, np.moveaxis(coeffs, k, 0), grid.modulus)
+        along = interpolate_univariate(points, np.moveaxis(coeffs, k, 0), first.modulus)
         coeffs = np.moveaxis(along, 0, k)
     target = _CODES[kind].target
     wanted = [target(p, n0, n2) for n0 in range(p.p0) for n2 in range(p.p2)]
     blocks = coeffs[tuple(np.array(axis) for axis in zip(*wanted))]
-    return assemble_blocks(blocks.reshape(p.p0, p.p2, *shape), grid.modulus)
+    return assemble_blocks(blocks.reshape(p.p0, p.p2, *first.data.shape), first.modulus)

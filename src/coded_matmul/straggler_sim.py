@@ -94,18 +94,16 @@ def trial_latencies(sim: SimTemplate, R_th: int, K: int) -> np.ndarray:
     return completion_table(sim, [R_th])[:, 0] / K
 
 
-def summarize(samples: np.ndarray) -> LatencyEstimate | list[LatencyEstimate]:
-    """Mean of per-trial latency samples, with its standard error, taken
-    along the last axis: a (candidates x trials) array gives one estimate
-    per row, each bit-identical to the estimate of that row alone."""
+def summarize(samples: np.ndarray) -> list[LatencyEstimate]:
+    """Mean of per-trial latency samples, with its standard error, for each
+    row of a (candidates x trials) array; each row's estimate is
+    bit-identical to that of a one-row array holding only that row."""
     samples = np.ascontiguousarray(samples)  # pairwise sums run along rows
     n = samples.shape[-1]
     means = samples.mean(axis=-1)
     errs = samples.std(ddof=1, axis=-1) / math.sqrt(n) if n > 1 else np.zeros_like(means)
-    if samples.ndim == 1:
-        return LatencyEstimate(float(means), float(errs), n)
     return [LatencyEstimate(float(m), float(e), n) for m, e in zip(means, errs)]
 
 
 def estimate_mean_latency(sim: SimTemplate, R_th: int, K: int) -> LatencyEstimate:
-    return summarize(trial_latencies(sim, R_th, K))
+    return summarize([trial_latencies(sim, R_th, K)])[0]

@@ -23,7 +23,6 @@ from coded_matmul.schemes import (
     TaskResult,
     decode_product,
     encode_shares,
-    evaluation_grid,
     recovery_threshold,
     upload_counts,
 )
@@ -109,8 +108,7 @@ def test_univariate_decode_from_random_points():
         for v, s0, s1 in zip(points, shares0, shares1):
             s0, s1 = Matrix(*s0.shape, s0, F_BIG), Matrix(*s1.shape, s1, F_BIG)
             results.append(TaskResult((v,), matrix_multiply(s0, s1)))
-        grid = evaluation_grid(SchemeKind.EPC, p, F_BIG)
-        decoded = decode_product(SchemeKind.EPC, p, grid, results)
+        decoded = decode_product(SchemeKind.EPC, p, results)
         assert decoded == matrix_multiply(a, b)
 
 

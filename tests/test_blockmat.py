@@ -205,6 +205,14 @@ def test_block_product_identity_all_schemes(p0: int, p1: int, p2: int, seed: int
     assert assemble_blocks(np.array(out), F101) == matrix_multiply(a, b)
 
 
+@pytest.mark.parametrize("entry", [2**31 - 1, -1, 2**40, 2**63], ids=["q", "-1", "2^40", "2^63"])
+def test_matrix_rejects_entries_outside_field(entry: int) -> None:
+    # Held unreduced, 2^40 would square to 0 rather than 2^80 mod q = 262144,
+    # since the limb bound assumes residues; 2^63 does not even fit int64.
+    with pytest.raises(ValueError, match=r"\[0, 2147483647\)"):
+        Matrix(1, 2, [1, entry], PrimeModulus(2**31 - 1))
+
+
 def test_matrix_file_round_trip(tmp_path) -> None:
     m = random_matrix(3, 5, F101, seed=13)
     path = tmp_path / "m.mat"

@@ -126,14 +126,16 @@ def test_each_input_encoded_by_one_kernel_call(kind: SchemeKind, q: int, monkeyp
     assert trace.encode_counts == upload_counts(kind, p)
 
 
-def test_static_mode_same_output() -> None:
+@pytest.mark.parametrize("workers", [8, 20])
+def test_static_mode_same_output(workers: int) -> None:
+    # tri (2,2,2) has 12 tasks, so at 20 workers task i runs on worker i.
     dyn, _ = run_job(make_spec(SchemeKind.TRI, mode="dynamic"))
-    sta, trace = run_job(make_spec(SchemeKind.TRI, mode="static"))
+    sta, trace = run_job(make_spec(SchemeKind.TRI, mode="static", workers=workers))
     assert dyn == sta
     assert trace.mode == "static"
-    # round-robin pre-assignment: worker w got tasks w, w+8, ...
+    # round-robin pre-assignment: worker w got tasks w, w+workers, ...
     for r in trace.records:
-        assert r.worker == r.task_id % 8
+        assert r.worker == r.task_id % workers
 
 
 def test_output_exact_under_injected_delay() -> None:

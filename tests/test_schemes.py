@@ -12,6 +12,7 @@ Two oracles drive everything here:
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -26,7 +27,6 @@ from coded_matmul.blockmat import (
 )
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.schemes import (
-    EvaluationGrid,
     FieldTooSmall,
     IncompleteResults,
     PointArityError,
@@ -175,15 +175,14 @@ def task_results(
     a: Matrix,
     b: Matrix,
     field: PrimeModulus,
-) -> tuple[EvaluationGrid, list[TaskResult]]:
+) -> list[TaskResult]:
     """Encode both inputs and multiply share pairs at every grid task."""
-    grid = evaluation_grid(kind, p, field)
     results = []
-    for point in grid.tasks:
+    for point in evaluation_grid(kind, p, field).tasks:
         s0 = share(kind, p, 0, a, project_point(kind, 0, point))
         s1 = share(kind, p, 1, b, project_point(kind, 1, point))
         results.append(TaskResult(point, matrix_multiply(s0, s1)))
-    return grid, results
+    return results
 
 
 def run_scheme(
@@ -194,8 +193,7 @@ def run_scheme(
     field: PrimeModulus,
 ) -> Matrix:
     """Encode both inputs, multiply share pairs at every grid task, decode."""
-    grid, results = task_results(kind, p, a, b, field)
-    return decode_product(kind, p, grid, results)
+    return decode_product(kind, p, task_results(kind, p, a, b, field))
 
 
 # ---------------------------------------------------------------------------
@@ -516,40 +514,52 @@ def test_decode_accepts_results_in_any_order(kind: SchemeKind) -> None:
     p = PartitionScheme(2, 3, 2)
     a = random_matrix(4, 6, F101, seed=20)
     b = random_matrix(6, 4, F101, seed=21)
-    grid, results = task_results(kind, p, a, b, F101)
+    results = task_results(kind, p, a, b, F101)
     shuffled = list(results)
     random.Random(22).shuffle(shuffled)
     assert shuffled != results
     for order in (results[::-1], shuffled):
-        assert decode_product(kind, p, grid, order) == matrix_multiply(a, b)
+        assert decode_product(kind, p, order) == matrix_multiply(a, b)
 
 
-def test_decode_epc_arbitrary_points() -> None:
-    # Decoding must not depend on using the default 1..R_th axis.
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_decode_epc_arbitrary_points(kind: SchemeKind) -> None:
+    # Decoding must not depend on using the default 1..size axes: each
+    # axis gets random distinct points, and the grid arrives shuffled.
     p = PartitionScheme(2, 2, 2)
-    field = FBIG
-    a = random_matrix(4, 4, field, seed=15)
-    b = random_matrix(4, 4, field, seed=16)
+    a = random_matrix(4, 4, FBIG, seed=15)
+    b = random_matrix(4, 4, FBIG, seed=16)
     rng = random.Random(17)
-    points = rng.sample(range(1000, 10**9), recovery_threshold(SchemeKind.EPC, p))
-    grid = evaluation_grid(SchemeKind.EPC, p, field)
+    sizes = [len(axis) for axis in evaluation_grid(kind, p, FBIG).axes]
+    axes = [rng.sample(range(1000, 10**9), n) for n in sizes]
+    points = list(itertools.product(*axes))
+    rng.shuffle(points)
     results = []
-    for x in points:
-        s0 = share(SchemeKind.EPC, p, 0, a, (x,))
-        s1 = share(SchemeKind.EPC, p, 1, b, (x,))
-        results.append(TaskResult((x,), matrix_multiply(s0, s1)))
-    assert decode_product(SchemeKind.EPC, p, grid, results) == matrix_multiply(a, b)
+    for point in points:
+        s0 = share(kind, p, 0, a, project_point(kind, 0, point))
+        s1 = share(kind, p, 1, b, project_point(kind, 1, point))
+        results.append(TaskResult(point, matrix_multiply(s0, s1)))
+    assert decode_product(kind, p, results) == matrix_multiply(a, b)
 
 
 def test_decode_rejects_missing_and_duplicate_tasks() -> None:
     p = PartitionScheme(2, 2, 2)
     a = random_matrix(4, 4, F101, seed=18)
     b = random_matrix(4, 4, F101, seed=19)
-    grid, results = task_results(SchemeKind.TRI, p, a, b, F101)
+    results = task_results(SchemeKind.TRI, p, a, b, F101)
+    last = results[-1]
+    assert last.point == (2, 3, 2)
     with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, grid, results[:-1])
+        decode_product(SchemeKind.TRI, p, results[:-1])
     with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, grid, results[:-1] + [results[0]])
+        decode_product(SchemeKind.TRI, p, results[:-1] + [results[0]])
+    with pytest.raises(IncompleteResults):
+        decode_product(SchemeKind.TRI, p, results + [results[0]])
+    # Right count, but (2, 3, 3) is off the Cartesian grid.
+    with pytest.raises(IncompleteResults):
+        decode_product(SchemeKind.TRI, p, results[:-1] + [TaskResult((2, 3, 3), last.block)])
+    with pytest.raises(PointArityError):
+        decode_product(SchemeKind.TRI, p, results[:-1] + [TaskResult((2, 3, 2, 1), last.block)])
 
 
 def test_share_shapes() -> None:

@@ -226,7 +226,7 @@ def test_summarize_rows_equal_summarize_each_row(trials: int) -> None:
     rows = table.T / np.arange(1, 8)[:, None]
     got = summarize(rows)
     assert got == summarize(np.ascontiguousarray(rows))
-    assert got == [summarize(row) for row in rows]
+    assert got == [summarize([row])[0] for row in rows]
     for est, row in zip(got, rows):
         assert est.mean == float(row.mean())
         assert est.stderr == (
