@@ -14,6 +14,7 @@ exact.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,13 @@ from .ffield import PrimeModulus
 
 # Moduli below this hold their entries as int64 and multiply in 16-bit limbs.
 _WORD_Q = 2**31
+
+# The characters of a matrix file that `read_matrix` parses in bulk: ASCII
+# digits, signs and whitespace.  numpy's integer parser reads some other text
+# differently from `int()`: it misreads some non-ASCII characters as digits,
+# and numpy releases before the removal of a 1.23 deprecation truncate
+# decimals such as `2.5` or `1e3` with only a DeprecationWarning.
+_BULK_CHARS = (string.digits + "+-" + string.whitespace).encode()
 
 
 class DimensionError(ValueError):
@@ -76,8 +84,9 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 class Matrix:
     """A rows x cols matrix of canonical residues in [0, q).
 
-    `data` takes rows * cols entries in row-major order, in any array-like
-    form, and holds them as a read-only rows x cols `field_array`.
+    `data` takes rows * cols integer entries in row-major order, in any
+    array-like form, and holds them as a read-only rows x cols
+    `field_array`.  Both dimensions are at least 1.
     """
 
     rows: int
@@ -87,15 +96,32 @@ class Matrix:
 
     def __post_init__(self) -> None:
         q = self.modulus.q
+        if self.rows < 1 or self.cols < 1:
+            raise ShapeError(f"matrix dimensions must be >= 1, got {self.rows}x{self.cols}")
+        raw = np.asarray(self.data)
+        if raw.dtype.kind not in "iuO":
+            # Python ints beyond int64 make a list float64, so such input is
+            # read again entry by entry; a float or bool entry is refused
+            # rather than truncated by the int64 cast.
+            raw = np.asarray(self.data, dtype=object)
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in raw.flat):
+                raise ValueError("matrix entries must be integers")
+        if raw.size != self.rows * self.cols:
+            raise ShapeError(f"expected {self.rows * self.cols} entries, got {raw.size}")
         try:
-            arr = np.asarray(self.data, dtype=np.int64)
+            arr = raw.astype(np.int64, copy=False)
         except OverflowError:
             arr = None
-        if arr is None or arr.size and (arr.min() < 0 or arr.max() >= q):
+        except (TypeError, ValueError):
+            raise ValueError("matrix entries must be integers") from None
+        if arr is None or arr.min() < 0 or arr.max() >= q:
             raise ValueError(f"matrix entries must be residues in [0, {q})")
         arr = field_array(arr, q)
-        if arr.size != self.rows * self.cols:
-            raise ShapeError(f"expected {self.rows * self.cols} entries, got {arr.size}")
+        # An object array (Python ints, as held for q >= 2^31) must equal its
+        # int64 cast, which would truncate a float entry.
+        if raw.dtype.kind == "O" and not (arr == raw).all():
+            raise ValueError("matrix entries must be integers")
         arr = arr.reshape(self.rows, self.cols)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -161,23 +187,49 @@ def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
 
 
 def read_matrix(path: str | Path) -> Matrix:
-    """Read the plain-text format: header `rows cols q`, then one row per line."""
+    """Read the plain-text format: header `rows cols q`, then one row per line.
+
+    Blank lines are skipped; error messages give physical line numbers.
+    """
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
+    header = lines[0][1]
     try:
-        rows, cols, q = (int(tok) for tok in lines[0].split())
+        rows, cols, q = (int(tok) for tok in header.split())
     except ValueError as exc:
-        raise ValueError(f"{path}: bad header {lines[0]!r}") from exc
+        raise ValueError(f"{path}: bad header {header!r}") from exc
     modulus = PrimeModulus(q)
-    if len(lines) - 1 != rows:
-        raise ValueError(f"{path}: expected {rows} rows, found {len(lines) - 1}")
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: bad header {header!r}: dimensions must be >= 1")
+    body = lines[1:]
+    if len(body) != rows:
+        raise ValueError(f"{path}: expected {rows} rows, found {len(body)}")
+    data = None
+    if text.isascii() and not text.encode().translate(None, _BULK_CHARS):
+        try:
+            data = np.loadtxt([ln for _, ln in body], dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if data is None or data.shape != (rows, cols) or data.min() < 0 or data.max() >= q:
+        data = _parse_rows(path, body, cols, q)
+    return Matrix(rows, cols, data, modulus)
+
+
+def _parse_rows(path, body: list[tuple[int, str]], cols: int, q: int) -> list[int]:
+    """Entries of numbered rows parsed one token at a time; raises at the first bad line.
+
+    This is `read_matrix`'s reference parser: it runs when the file holds
+    characters outside `_BULK_CHARS`, such as `1_0`, or when the bulk parse
+    fails or finds an entry out of range.  Its values stand whenever it finds
+    no fault.
+    """
     data: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         try:
             values = [int(tok) for tok in line.split()]
         except ValueError:
@@ -188,13 +240,13 @@ def read_matrix(path: str | Path) -> Matrix:
             if not 0 <= v < q:
                 raise ValueError(f"{path}:{lineno}: value {v} outside [0, {q})")
         data.extend(values)
-    return Matrix(rows, cols, data, modulus)
+    return data
 
 
 def format_matrix(m: Matrix) -> str:
     """The plain-text format that `read_matrix` reads."""
-    rows = (" ".join(map(str, row)) for row in m.data.tolist())
-    return "\n".join([f"{m.rows} {m.cols} {m.modulus.q}", *rows]) + "\n"
+    body = "\n".join([" ".join(["%d"] * m.cols)] * m.rows) % tuple(m.data.ravel().tolist())
+    return f"{m.rows} {m.cols} {m.modulus.q}\n{body}\n"
 
 
 def write_matrix(m: Matrix, path: str | Path) -> None:

@@ -14,6 +14,7 @@ necessarily vary).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -85,7 +86,9 @@ def _add_partition_flags(sub, scheme_choices) -> None:
     sub.add_argument("--p2", required=True, type=_positive_int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; `main` only parses with it."""
     parser = _Parser(
         prog="coded-matmul",
         description="Coded distributed matrix multiplication toolkit",

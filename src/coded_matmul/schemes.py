@@ -19,9 +19,10 @@ of the matrix product.  An input's shares are its block polynomial evaluated
 at the points of its own sub-grid: all of them come from one coefficient
 matrix (one row of monomial values per point) times the input's blocks
 stacked one per row.  Decoding reads each axis's points from the results,
-stacks the results into an array shaped by the axis sizes, applies each
-axis's inverse Vandermonde matrix in turn, and gathers the product's
-blocks from their target coefficients.  Both are F_q products through
+stacks the results into an array shaped by the axis sizes, applies to each
+axis in turn only the rows of its inverse Vandermonde matrix at exponents
+some target monomial uses, and gathers the product's blocks from their
+target coefficients.  Both are F_q products through
 `blockmat.modmatmul`, so decoding equality is bit-for-bit, not
 approximate.
 """
@@ -275,19 +276,23 @@ def _lagrange_basis(points: tuple[int, ...], q: int) -> list[list[int]]:
     return basis
 
 
-def interpolate_univariate(points, samples: np.ndarray, field: PrimeModulus) -> np.ndarray:
-    """Recover the coefficients fitting samples[i] at points[i], along axis 0.
+def interpolate_univariate(
+    points, samples: np.ndarray, field: PrimeModulus, exponents: Sequence[int]
+) -> np.ndarray:
+    """Recover the wanted coefficients fitting samples[i] at points[i], along axis 0.
 
-    Entry k of the result's axis 0 holds the degree-k coefficient; the other
-    axes keep the samples' shape.  This is the inverse Vandermonde matrix
-    (the transposed Lagrange basis) times the samples, through `modmatmul`.
+    Entry j of the result's axis 0 holds the coefficient of degree
+    exponents[j]; the other axes keep the samples' shape.  This is those
+    rows of the inverse Vandermonde matrix (the transposed Lagrange basis)
+    times the samples, through `modmatmul`.
     """
     n = len(points)
     if n == 0 or n != samples.shape[0]:
         raise SingularSystem("need equally many points and samples, at least one")
     q = field.q
-    inverse = field_array(_lagrange_basis(tuple(points), q), q).T
-    return modmatmul(inverse, samples.reshape(n, -1), q).reshape(samples.shape)
+    rows = field_array(_lagrange_basis(tuple(points), q), q).T[np.asarray(exponents)]
+    out = modmatmul(rows, samples.reshape(n, -1), q)
+    return out.reshape(rows.shape[:1] + samples.shape[1:])
 
 
 def decode_product(kind: SchemeKind, p: PartitionScheme, results: list[TaskResult]) -> Matrix:
@@ -316,14 +321,18 @@ def decode_product(kind: SchemeKind, p: PartitionScheme, results: list[TaskResul
         if (r.block.data.shape, r.block.modulus) != (first.data.shape, first.modulus):
             raise ShapeError("task result blocks differ in shape or modulus")
 
-    # Axis k of `coeffs` runs over the points of axis k until it is
-    # interpolated, and over that variable's exponents after.
+    # wanted[k] lists the target exponent on axis k of each product block,
+    # and keep[k] the distinct ones.  Axis k of `coeffs` runs over the points
+    # of axis k until it is interpolated, and over keep[k] after; the axis
+    # that shrinks the array most goes first.
+    target = _CODES[kind].target
+    wanted = list(zip(*(target(p, n0, n2) for n0 in range(p.p0) for n2 in range(p.p2))))
+    keep = [sorted(set(exps)) for exps in wanted]
     samples = [lookup[t].data for t in itertools.product(*axes)]
     coeffs = np.stack(samples).reshape(sizes + first.data.shape)
-    for k, points in enumerate(axes):
-        along = interpolate_univariate(points, np.moveaxis(coeffs, k, 0), first.modulus)
+    for k in sorted(range(len(sizes)), key=lambda k: len(keep[k]) / sizes[k]):
+        along = interpolate_univariate(axes[k], np.moveaxis(coeffs, k, 0), first.modulus, keep[k])
         coeffs = np.moveaxis(along, 0, k)
-    target = _CODES[kind].target
-    wanted = [target(p, n0, n2) for n0 in range(p.p0) for n2 in range(p.p2)]
-    blocks = coeffs[tuple(np.array(axis) for axis in zip(*wanted))]
+    index = [[kept.index(e) for e in exps] for kept, exps in zip(keep, wanted)]
+    blocks = coeffs[tuple(np.array(ix) for ix in index)]
     return assemble_blocks(blocks.reshape(p.p0, p.p2, *first.data.shape), first.modulus)

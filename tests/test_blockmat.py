@@ -18,7 +18,9 @@ from coded_matmul.blockmat import (
     DimensionError,
     Matrix,
     PartitionScheme,
+    ShapeError,
     assemble_blocks,
+    format_matrix,
     matrix_multiply,
     partition_matrix,
     read_matrix,
@@ -243,3 +245,115 @@ def test_matrix_file_rejects_wrong_shape(tmp_path) -> None:
     path.write_text("2 2 7\n0 1\n2\n")
     with pytest.raises(ValueError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[2.5, True], np.array([1.9, 3.0]), np.array([True, False]), [1, 2.0], [2**63, 0.5],
+     np.array([2.5, 3], dtype=object), np.array([None, 3], dtype=object), ["1", "2"]],
+    ids=["float-and-bool", "float-array", "bool-array", "int-and-float", "huge-and-float",
+         "object-float", "object-none", "strings"],
+)
+def test_matrix_rejects_non_integer_entries(data) -> None:
+    # An int64 cast would store [[2, 1]] and [[1, 3]] for the first two.
+    # The input's dtype decides: a list numpy reads as int64 is integer.
+    with pytest.raises(ValueError, match="must be integers"):
+        Matrix(1, 2, data, F7)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[3, 4], np.array([3, 4]), np.array([3, 4], dtype=np.int32), [np.int64(3), 4],
+     np.array([3, 4], dtype=object)],
+    ids=["int-list", "int64-array", "int32-array", "numpy-scalar", "object-array"],
+)
+def test_matrix_keeps_integer_entries(data) -> None:
+    assert Matrix(1, 2, data, F7).data.tolist() == [[3, 4]]
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0)])
+def test_matrix_rejects_zero_dimensions(shape) -> None:
+    with pytest.raises(ShapeError, match="dimensions must be >= 1"):
+        Matrix(*shape, [], F7)
+
+
+def test_matrix_file_rejects_zero_dimensions(tmp_path) -> None:
+    # The text a 2 x 0 matrix would have: its two empty rows read as blank.
+    path = tmp_path / "m.mat"
+    path.write_text("2 0 7\n\n\n")
+    with pytest.raises(ValueError, match=r"bad header '2 0 7': dimensions must be >= 1"):
+        read_matrix(path)
+
+
+def old_format(m: Matrix) -> str:
+    """The row-by-row formula `format_matrix` replaced."""
+    rows = (" ".join(map(str, row)) for row in m.data.tolist())
+    return "\n".join([f"{m.rows} {m.cols} {m.modulus.q}", *rows]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([7, 101, 2**31 - 1, 2**61 - 1]),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    data=st.data(),
+)
+def test_matrix_file_round_trip_any_shape(tmp_path_factory, q, shape, data) -> None:
+    field = PrimeModulus(q)
+    rows, cols = shape
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=rows * cols, max_size=rows * cols))
+    m = Matrix(rows, cols, entries, field)
+    assert format_matrix(m) == old_format(m)
+    path = tmp_path_factory.mktemp("round") / "m.mat"
+    write_matrix(m, path)
+    assert read_matrix(path) == m
+
+
+def test_matrix_file_reads_blank_lines_and_int_tokens(tmp_path) -> None:
+    # Tokens that int() takes but numpy's parser does not read as int() does.
+    path = tmp_path / "m.mat"
+    path.write_text("\n2 2 101\n\n1_0 \u0661\n\n  7\t\u0033 \n\n")
+    assert read_matrix(path).data.tolist() == [[10, 1], [7, 3]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2 7\n\n0 1\n\n6 x\n", "5: non-integer entry in '6 x'"),
+        ("3 2 7\n0 1\n2\n1 1\n", "3: expected 2 values"),
+        ("2 2 7\n0 1\n6 7\n", "3: value 7 outside [0, 7)"),
+        ("1 2 7\n\n0 -1\n", "3: value -1 outside [0, 7)"),
+        ("1 2 7\n0 9223372036854775808\n", "2: value 9223372036854775808 outside [0, 7)"),
+        ("1 2 7\n1_0 1\n", "2: value 10 outside [0, 7)"),
+        ("1 2 7\n2.5 1\n", "2: non-integer entry in '2.5 1'"),
+        ("1 2 7\n1e3 1\n", "2: non-integer entry in '1e3 1'"),
+    ],
+    ids=["non-integer", "short-middle-row", "equals-q", "minus-one", "2^63", "underscore",
+         "decimal", "exponent"],
+)
+def test_matrix_file_error_names_physical_line(tmp_path, text, message) -> None:
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_matrix(path)
+    assert str(err.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("row", ["2.5 1", "1e3 1"])
+def test_matrix_file_decimal_never_reaches_bulk_parse(tmp_path, monkeypatch, row) -> None:
+    # numpy releases the package allows (>= 1.24) read an int64 token such as
+    # 2.5 through a float, truncating it with only a DeprecationWarning.  A
+    # stand-in parser that does so must see well-formed files only.
+    seen = []
+
+    def truncating_loadtxt(lines, **kwargs):
+        seen.append(list(lines))
+        return np.array([[int(float(tok)) for tok in ln.split()] for ln in lines])
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    good, bad = tmp_path / "good.mat", tmp_path / "bad.mat"
+    good.write_text("1 2 7\n3 1\n")
+    bad.write_text(f"1 2 7\n{row}\n")
+    assert read_matrix(good).data.tolist() == [[3, 1]]
+    with pytest.raises(ValueError, match=f":2: non-integer entry in '{row}'"):
+        read_matrix(bad)
+    assert seen == [["3 1"]]

@@ -18,6 +18,7 @@ import random
 import numpy as np
 import pytest
 
+from coded_matmul import schemes
 from coded_matmul.blockmat import (
     DimensionError,
     Matrix,
@@ -450,13 +451,13 @@ def test_product_polynomial_structure(kind: SchemeKind, dims: tuple) -> None:
 
 def test_interpolate_constant() -> None:
     c = np.array([[5]])
-    coeffs = interpolate_univariate((1, 2, 3), np.stack([c, c, c]), F7)
+    coeffs = interpolate_univariate((1, 2, 3), np.stack([c, c, c]), F7, range(3))
     assert coeffs.tolist() == [[[5]], [[0]], [[0]]]
 
 
 def test_interpolate_line_by_hand() -> None:
     # 1 + 2x fits (1,3) and (2,5) in F_7
-    coeffs = interpolate_univariate((1, 2), np.array([[[3]], [[5]]]), F7)
+    coeffs = interpolate_univariate((1, 2), np.array([[[3]], [[5]]]), F7, range(2))
     assert coeffs.ravel().tolist() == [1, 2]
 
 
@@ -470,14 +471,34 @@ def test_interpolate_round_trip_degree_5() -> None:
         for k, c in enumerate(coeffs):
             acc = acc + c.scale(pow(x, k, 101))
         samples.append(acc.data)
-    recovered = interpolate_univariate(points, np.stack(samples), F101)
+    recovered = interpolate_univariate(points, np.stack(samples), F101, range(6))
     assert recovered.tolist() == [c.data.tolist() for c in coeffs]
+
+
+@pytest.mark.parametrize("q", [101, 2**61 - 1])
+def test_interpolate_keeps_rows_of_inverse_vandermonde(q: int) -> None:
+    # With identity samples the result is the kept rows of the inverse
+    # itself: all of them undo the Vandermonde matrix, and any subset is
+    # those rows of the full inverse, in the order asked for.
+    field = PrimeModulus(q)
+    points = (3, 17, 5, 40, 9, 11)
+    n = len(points)
+    full = interpolate_univariate(points, np.eye(n, dtype=np.int64), field, range(n))
+    vandermonde = [[pow(x, k, q) for k in range(n)] for x in points]
+    inv = [[int(v) for v in row] for row in full]
+    product = [
+        [sum(inv[k][i] * vandermonde[i][j] for i in range(n)) % q for j in range(n)]
+        for k in range(n)
+    ]
+    assert product == np.eye(n, dtype=int).tolist()
+    some = interpolate_univariate(points, np.eye(n, dtype=np.int64), field, [4, 1])
+    assert some.tolist() == [full[4].tolist(), full[1].tolist()]
 
 
 def test_interpolate_rejects_repeated_points() -> None:
     c = np.array([[5]])
     with pytest.raises(SingularSystem):
-        interpolate_univariate((1, 1, 2), np.stack([c, c, c]), F7)
+        interpolate_univariate((1, 1, 2), np.stack([c, c, c]), F7, range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +561,64 @@ def test_decode_epc_arbitrary_points(kind: SchemeKind) -> None:
         s1 = share(kind, p, 1, b, project_point(kind, 1, point))
         results.append(TaskResult(point, matrix_multiply(s0, s1)))
     assert decode_product(kind, p, results) == matrix_multiply(a, b)
+
+
+@pytest.mark.parametrize("q", [101, 2**61 - 1])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3), (2, 4, 2), (4, 1, 4)])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_decode_shuffled_random_grid(kind: SchemeKind, dims: tuple, q: int) -> None:
+    # Random distinct points per axis, results in random order.
+    field = PrimeModulus(q)
+    p = PartitionScheme(*dims)
+    a = random_matrix(12, 4, field, seed=40)
+    b = random_matrix(4, 12, field, seed=41)
+    rng = random.Random(f"{kind.value} {dims} {q}")
+    sizes = [len(axis) for axis in evaluation_grid(kind, p, field).axes]
+    axes = [rng.sample(range(1, q), n) for n in sizes]
+    points = list(itertools.product(*axes))
+    rng.shuffle(points)
+    results = [
+        TaskResult(
+            point,
+            matrix_multiply(
+                share(kind, p, 0, a, project_point(kind, 0, point)),
+                share(kind, p, 1, b, project_point(kind, 1, point)),
+            ),
+        )
+        for point in points
+    ]
+    assert decode_product(kind, p, results) == matrix_multiply(a, b)
+
+
+@pytest.mark.parametrize(
+    "kind, inverse_shapes",
+    [
+        # epc keeps p0 p2 = 4 of its 19 coefficients.
+        (SchemeKind.EPC, [(4, 19)]),
+        # bi0's y-axis keeps exponents 3 and 7 of 11 and goes first.
+        (SchemeKind.BI0, [(2, 11), (2, 2)]),
+        # bi2's y-axis keeps exponents 3 and 7 of 11.
+        (SchemeKind.BI2, [(2, 11), (2, 2)]),
+        # tri's y-axis keeps only exponent p1 - 1 = 3 of 7.
+        (SchemeKind.TRI, [(1, 7), (2, 2), (2, 2)]),
+    ],
+    ids=lambda v: v.value if isinstance(v, SchemeKind) else None,
+)
+def test_decode_applies_only_wanted_rows(kind, inverse_shapes, monkeypatch) -> None:
+    p = PartitionScheme(2, 4, 2)
+    a = random_matrix(4, 8, F101, seed=42)
+    b = random_matrix(8, 4, F101, seed=43)
+    results = task_results(kind, p, a, b, F101)
+    shapes = []
+    kernel = schemes.modmatmul
+
+    def recorded(x, y, modulus):
+        shapes.append(x.shape)
+        return kernel(x, y, modulus)
+
+    monkeypatch.setattr(schemes, "modmatmul", recorded)
+    assert decode_product(kind, p, results) == matrix_multiply(a, b)
+    assert shapes == inverse_shapes
 
 
 def test_decode_rejects_missing_and_duplicate_tasks() -> None:
