@@ -1,15 +1,20 @@
 """Dense matrices over F_q with block partitioning and one exact product kernel.
 
-A `Matrix` holds a rows x cols ndarray (int64 for q < 2^31, Python ints
-above), and `modmatmul` is the one F_q matrix product under encoding,
-per-task multiply and decoding.  A matrix is split into an equal-size grid
-of blocks, held as one array indexed (block row, block column, row, col):
-the left factor into p0 x p1 blocks, the right factor into p1 x p2 blocks.
-Block (n0, n2) of the product is the sum over the middle index of
-blockwise products, which is the identity every coding scheme in this
-package relies on.  Dimensions must be exactly divisible by the partition
-counts; padding is never applied silently, so decode-equality checks stay
-exact.
+A `Matrix` holds a checked rows x cols `field_array` (int64 for q < 2^31,
+Python ints above).  It is the boundary type: what `read_matrix` returns
+and `write_matrix` takes, a job's two inputs and its decoded product, and
+the operands of `matrix_multiply`, the reference product.  Inside the coded
+pipeline, blocks, shares and task results are plain field arrays, and
+`modmatmul` is the one F_q matrix product under encoding, per-task multiply
+and decoding.
+
+A matrix is split into an equal-size grid of blocks, held as one array
+indexed (block row, block column, row, col): the left factor into p0 x p1
+blocks, the right factor into p1 x p2 blocks.  Block (n0, n2) of the
+product is the sum over the middle index of blockwise products, which is
+the identity every coding scheme in this package relies on.  Dimensions
+must be exactly divisible by the partition counts; padding is never
+applied silently, so decode-equality checks stay exact.
 """
 
 from __future__ import annotations
@@ -130,32 +135,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.modulus == other.modulus and np.array_equal(self.data, other.data)
-
-    def at(self, i: int, j: int) -> int:
-        return int(self.data[i, j])
-
-    def __add__(self, other: Matrix) -> Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix addition requires equal shapes")
-        q = self.modulus.q
-        return Matrix(self.rows, self.cols, (self.data + other.data) % q, self.modulus)
-
-    def scale(self, c: int) -> Matrix:
-        q = self.modulus.q
-        return Matrix(self.rows, self.cols, c % q * self.data % q, self.modulus)
-
-    @staticmethod
-    def zeros(rows: int, cols: int, modulus: PrimeModulus) -> Matrix:
-        return Matrix(rows, cols, np.zeros(rows * cols, dtype=np.int64), modulus)
-
-    @staticmethod
-    def identity(n: int, modulus: PrimeModulus) -> Matrix:
-        return Matrix(n, n, np.eye(n, dtype=np.int64), modulus)
-
-    @staticmethod
-    def random(rows: int, cols: int, modulus: PrimeModulus, rng) -> Matrix:
-        data = [rng.randrange(modulus.q) for _ in range(rows * cols)]
-        return Matrix(rows, cols, data, modulus)
 
 
 def partition_matrix(m: Matrix, pr: int, pc: int) -> np.ndarray:

@@ -12,6 +12,12 @@ threads that receive immutable task messages, optionally sleep a sampled
 straggler delay, multiply their two shares, and send the result back.
 Nothing mutable is shared; all communication is via queues.
 
+A `Matrix` appears only at the job's ends: its two inputs and the decoded
+product it returns.  In between the job holds arrays: each task's shares
+are read-only rows of the `encode_shares` arrays, workers multiply them
+with `modmatmul`, and result blocks travel to `decode_product` as they
+came out of the kernel.
+
 Scheduling modes: "dynamic" uses a single shared queue (idle workers pull
 the next undispatched task, so a slow worker naturally takes fewer tasks);
 "static" pre-assigns tasks round-robin (task i to worker i mod W), which
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import DimensionError, Matrix, PartitionScheme, matrix_multiply
+from .blockmat import DimensionError, Matrix, PartitionScheme, modmatmul
 from .schemes import (
     SchemeKind,
     TaskResult,
@@ -130,20 +136,20 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         raise DimensionError(
             f"cannot multiply {spec.M0.rows}x{spec.M0.cols} by {spec.M1.rows}x{spec.M1.cols}"
         )
-    kind, p = spec.kind, spec.p
-    grid = evaluation_grid(kind, p, spec.M0.modulus)
+    kind, p, modulus = spec.kind, spec.p, spec.M0.modulus
+    points = evaluation_grid(kind, p, modulus)
 
-    def task_shares(input_id: int, m: Matrix) -> tuple[list[Matrix], int]:
+    def task_shares(input_id: int, m: Matrix) -> tuple[list[np.ndarray], int]:
         """The share of m each task uses, and how many distinct shares there are."""
-        projs = [project_point(kind, input_id, t) for t in grid.tasks]
-        distinct = list(dict.fromkeys(projs))
-        shares = encode_shares(kind, p, input_id, m, distinct)
-        by_proj = {pt: Matrix(*s.shape, s, m.modulus) for pt, s in zip(distinct, shares)}
-        return [by_proj[pt] for pt in projs], len(distinct)
+        projs = [project_point(kind, input_id, t) for t in points]
+        row = {pt: i for i, pt in enumerate(dict.fromkeys(projs))}
+        shares = encode_shares(kind, p, input_id, m, list(row))
+        shares.flags.writeable = False
+        return [shares[row[pt]] for pt in projs], len(row)
 
     shares0, encoded0 = task_shares(0, spec.M0)
     shares1, encoded1 = task_shares(1, spec.M1)
-    tasks = list(zip(range(len(grid.tasks)), grid.tasks, shares0, shares1))
+    tasks = list(zip(range(len(points)), points, shares0, shares1))
 
     # Start no thread for workers past the task count: none would get a
     # task.  Task i goes to inbox i mod n_threads, which for every task is
@@ -173,18 +179,23 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
             if spec.worker_delay_factors is not None
             else 1.0
         )
-        for tid, point, s0, s1 in iter(inbox.get, None):
-            start = now_ms()
-            try:
-                sleep_ms = _delay_ms(spec.delay, p.K, rng, factor)
-                if sleep_ms > 0:
-                    time.sleep(sleep_ms / 1000.0)
-                product = matrix_multiply(s0, s1)
-            except Exception as exc:
-                outbox.put(f"task {tid} on worker {wid}: {type(exc).__name__}: {exc}")
-                continue
-            outbox.put((TaskRecord(tid, point, wid, start, now_ms()), TaskResult(point, product)))
-        outbox.put(None)
+        try:
+            for tid, point, s0, s1 in iter(inbox.get, None):
+                start = now_ms()
+                try:
+                    sleep_ms = _delay_ms(spec.delay, p.K, rng, factor)
+                    if sleep_ms > 0:
+                        time.sleep(sleep_ms / 1000.0)
+                    product = modmatmul(s0, s1, modulus.q)
+                except Exception as exc:
+                    outbox.put(f"task {tid} on worker {wid}: {type(exc).__name__}: {exc}")
+                    continue
+                record = TaskRecord(tid, point, wid, start, now_ms())
+                outbox.put((record, TaskResult(point, product)))
+        finally:
+            # Posted however the thread ends, so that a worker killed by a
+            # BaseException still counts as exited and the job fails.
+            outbox.put(None)
 
     threads = [
         threading.Thread(target=worker_loop, args=(wid, inboxes[wid]), daemon=True)
@@ -223,8 +234,7 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     if len(results) < len(tasks):
         raise JobFailed(errors[0] if errors else "workers exited before finishing", trace)
 
-    product = decode_product(kind, p, results=results)
-    return product, trace
+    return decode_product(kind, p, results, modulus), trace
 
 
 def render_trace_csv(trace: JobTrace) -> str:

@@ -25,6 +25,11 @@ some target monomial uses, and gathers the product's blocks from their
 target coefficients.  Both are F_q products through
 `blockmat.modmatmul`, so decoding equality is bit-for-bit, not
 approximate.
+
+A `Matrix` enters only as the input that `encode_shares` partitions and
+leaves only as the product that `decode_product` assembles.  Between them,
+shares and task result blocks are plain field arrays, which the encoder
+and the kernel produce already reduced, so nothing checks them again.
 """
 
 from __future__ import annotations
@@ -173,34 +178,24 @@ def project_point(kind: SchemeKind, input_id: int, point: tuple[int, ...]) -> tu
 
 
 @dataclass(frozen=True)
-class EvaluationGrid:
-    """Per-axis point sets and the full task list (their Cartesian product)."""
-
-    axes: tuple[tuple[int, ...], ...]
-    tasks: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class TaskResult:
     """One worker's product of its two coded shares at a grid point."""
 
     point: tuple[int, ...]
-    block: Matrix
+    block: np.ndarray
 
 
 def evaluation_grid(
     kind: SchemeKind, p: PartitionScheme, field: PrimeModulus
-) -> EvaluationGrid:
-    """Deterministic grid: axis k uses points 1..size_k, tasks lexicographic."""
+) -> tuple[tuple[int, ...], ...]:
+    """The task points, in lexicographic order: axis k uses points 1..size_k."""
     sizes = _CODES[kind].sizes(p)
     if max(sizes) >= field.q:
         raise FieldTooSmall(
             f"{kind.value} at {p} needs {max(sizes)} distinct nonzero points "
             f"but q = {field.q}"
         )
-    axes = tuple(tuple(range(1, n + 1)) for n in sizes)
-    tasks = tuple(itertools.product(*axes))
-    return EvaluationGrid(axes, tasks)
+    return tuple(itertools.product(*(range(1, n + 1) for n in sizes)))
 
 
 def encode_shares(
@@ -295,8 +290,10 @@ def interpolate_univariate(
     return out.reshape(rows.shape[:1] + samples.shape[1:])
 
 
-def decode_product(kind: SchemeKind, p: PartitionScheme, results: list[TaskResult]) -> Matrix:
-    """Interpolate task results and assemble the p0 x p2 product blocks.
+def decode_product(
+    kind: SchemeKind, p: PartitionScheme, results: list[TaskResult], field: PrimeModulus
+) -> Matrix:
+    """Interpolate task results over `field` and assemble the p0 x p2 product blocks.
 
     Each axis's points are read from the results, in order of first
     appearance; they must span a Cartesian grid of the code's axis sizes,
@@ -316,10 +313,9 @@ def decode_product(kind: SchemeKind, p: PartitionScheme, results: list[TaskResul
             f"{kind.value} needs results covering a {' x '.join(map(str, sizes))} grid "
             f"of distinct points exactly once, got {len(results)}"
         )
-    first = results[0].block
-    for r in results:
-        if (r.block.data.shape, r.block.modulus) != (first.data.shape, first.modulus):
-            raise ShapeError("task result blocks differ in shape or modulus")
+    shape = results[0].block.shape
+    if any(r.block.shape != shape for r in results):
+        raise ShapeError("task result blocks differ in shape")
 
     # wanted[k] lists the target exponent on axis k of each product block,
     # and keep[k] the distinct ones.  Axis k of `coeffs` runs over the points
@@ -328,11 +324,11 @@ def decode_product(kind: SchemeKind, p: PartitionScheme, results: list[TaskResul
     target = _CODES[kind].target
     wanted = list(zip(*(target(p, n0, n2) for n0 in range(p.p0) for n2 in range(p.p2))))
     keep = [sorted(set(exps)) for exps in wanted]
-    samples = [lookup[t].data for t in itertools.product(*axes)]
-    coeffs = np.stack(samples).reshape(sizes + first.data.shape)
+    samples = [lookup[t] for t in itertools.product(*axes)]
+    coeffs = np.stack(samples).reshape(sizes + shape)
     for k in sorted(range(len(sizes)), key=lambda k: len(keep[k]) / sizes[k]):
-        along = interpolate_univariate(axes[k], np.moveaxis(coeffs, k, 0), first.modulus, keep[k])
+        along = interpolate_univariate(axes[k], np.moveaxis(coeffs, k, 0), field, keep[k])
         coeffs = np.moveaxis(along, 0, k)
     index = [[kept.index(e) for e in exps] for kept, exps in zip(keep, wanted)]
     blocks = coeffs[tuple(np.array(ix) for ix in index)]
-    return assemble_blocks(blocks.reshape(p.p0, p.p2, *first.data.shape), first.modulus)
+    return assemble_blocks(blocks.reshape(p.p0, p.p2, *shape), field)

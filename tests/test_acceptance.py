@@ -33,6 +33,8 @@ from coded_matmul.straggler_sim import (
     trial_latencies,
 )
 
+import matrix_helpers as mh
+
 F_BIG = PrimeModulus(DEFAULT_MODULUS)
 ALL_KINDS = [SchemeKind.EPC, SchemeKind.BI0, SchemeKind.BI2, SchemeKind.TRI]
 
@@ -87,8 +89,8 @@ def test_end_to_end_exact_decode():
             for p1 in (1, 2, 3):
                 for p2 in (1, 2, 3):
                     p = PartitionScheme(p0, p1, p2)
-                    a = Matrix.random(6, 6, F_BIG, rng)
-                    b = Matrix.random(6, 6, F_BIG, rng)
+                    a = mh.random(6, 6, F_BIG, rng)
+                    b = mh.random(6, 6, F_BIG, rng)
                     spec = JobSpec(kind, p, a, b, workers=1)
                     assert run_job(spec)[0] == matrix_multiply(a, b)
     assert time.perf_counter() - started < 30.0
@@ -99,16 +101,16 @@ def test_univariate_decode_from_random_points():
     rng = random.Random(99)
     for p in (PartitionScheme(2, 2, 2), PartitionScheme(3, 2, 2)):
         r_th = recovery_threshold(SchemeKind.EPC, p)
-        a = Matrix.random(6, 6, F_BIG, rng)
-        b = Matrix.random(6, 6, F_BIG, rng)
+        a = mh.random(6, 6, F_BIG, rng)
+        b = mh.random(6, 6, F_BIG, rng)
         points = rng.sample(range(1, 100000), r_th)
         shares0 = encode_shares(SchemeKind.EPC, p, 0, a, [(v,) for v in points])
         shares1 = encode_shares(SchemeKind.EPC, p, 1, b, [(v,) for v in points])
         results = []
         for v, s0, s1 in zip(points, shares0, shares1):
             s0, s1 = Matrix(*s0.shape, s0, F_BIG), Matrix(*s1.shape, s1, F_BIG)
-            results.append(TaskResult((v,), matrix_multiply(s0, s1)))
-        decoded = decode_product(SchemeKind.EPC, p, results)
+            results.append(TaskResult((v,), matrix_multiply(s0, s1).data))
+        decoded = decode_product(SchemeKind.EPC, p, results, F_BIG)
         assert decoded == matrix_multiply(a, b)
 
 
@@ -116,8 +118,8 @@ def test_univariate_decode_from_random_points():
 def test_upload_count_consistency():
     rng = random.Random(4)
     p = PartitionScheme(2, 2, 2)
-    a = Matrix.random(4, 4, F_BIG, rng)
-    b = Matrix.random(4, 4, F_BIG, rng)
+    a = mh.random(4, 4, F_BIG, rng)
+    b = mh.random(4, 4, F_BIG, rng)
     observed = {}
     for kind in ALL_KINDS:
         _, trace = run_job(JobSpec(kind=kind, p=p, M0=a, M1=b, workers=4, seed=1))
@@ -330,8 +332,8 @@ def test_feasible_set_structure():
 def test_runtime_exactness_under_stragglers():
     rng = random.Random(8)
     p = PartitionScheme(2, 2, 2)
-    a = Matrix.random(8, 8, F_BIG, rng)
-    b = Matrix.random(8, 8, F_BIG, rng)
+    a = mh.random(8, 8, F_BIG, rng)
+    b = mh.random(8, 8, F_BIG, rng)
     direct = matrix_multiply(a, b)
     skew = (10.0,) + (1.0,) * 7
     delay = InjectedDelay(t0_ms=8.0, lam_inv_ms=2.0)

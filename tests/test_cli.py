@@ -11,6 +11,8 @@ from coded_matmul.blockmat import Matrix, matrix_multiply, read_matrix, write_ma
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.optimizer import TRADEOFF_CSV_HEADER
 
+import matrix_helpers as mh
+
 F_BIG = PrimeModulus(DEFAULT_MODULUS)
 DATA = Path(__file__).parent / "data"
 
@@ -22,8 +24,8 @@ def run_cli(capsys, *argv):
 
 
 def write_pair(tmp_path, rows=6, inner=6, cols=6, q=F_BIG, seeds=(1, 2)):
-    a = Matrix.random(rows, inner, q, random.Random(seeds[0]))
-    b = Matrix.random(inner, cols, q, random.Random(seeds[1]))
+    a = mh.random(rows, inner, q, random.Random(seeds[0]))
+    b = mh.random(inner, cols, q, random.Random(seeds[1]))
     pa, pb = tmp_path / "a.mat", tmp_path / "b.mat"
     write_matrix(a, pa)
     write_matrix(b, pb)
@@ -195,7 +197,7 @@ def test_multiply_verify_passes(capsys, tmp_path):
 
 def test_multiply_verify_failure_exits_two(capsys, tmp_path, monkeypatch):
     a, b, pa, pb = write_pair(tmp_path)
-    wrong = Matrix.zeros(a.rows, b.cols, a.modulus)
+    wrong = mh.zeros(a.rows, b.cols, a.modulus)
     monkeypatch.setattr(cli, "matrix_multiply", lambda x, y: wrong)
     rc, _, err = run_cli(
         capsys, "multiply", "--scheme", "epc",
@@ -207,8 +209,8 @@ def test_multiply_verify_failure_exits_two(capsys, tmp_path, monkeypatch):
 
 
 def test_multiply_mismatched_moduli_exit_one(capsys, tmp_path):
-    a = Matrix.random(4, 4, PrimeModulus(101), random.Random(3))
-    b = Matrix.random(4, 4, F_BIG, random.Random(4))
+    a = mh.random(4, 4, PrimeModulus(101), random.Random(3))
+    b = mh.random(4, 4, F_BIG, random.Random(4))
     pa, pb = tmp_path / "a.mat", tmp_path / "b.mat"
     write_matrix(a, pa)
     write_matrix(b, pb)
@@ -224,7 +226,7 @@ def test_multiply_mismatched_moduli_exit_one(capsys, tmp_path):
 def test_inner_dimension_mismatch_exits_one(capsys, tmp_path, command):
     # a 4x6 left factor against a 4x4 right factor; both split 2x2 evenly
     _, _, pa, pb = write_pair(tmp_path, rows=4, inner=6, cols=4)
-    write_matrix(Matrix.random(4, 4, F_BIG, random.Random(9)), pb)
+    write_matrix(mh.random(4, 4, F_BIG, random.Random(9)), pb)
     extra = ["--workers", "2"] if command == "run" else []
     rc, _, err = run_cli(
         capsys, command, "--scheme", "tri",
@@ -441,7 +443,7 @@ def test_run_demo_verifies_and_writes_trace(capsys, tmp_path):
 
 def test_run_verification_failure_exits_two(capsys, tmp_path, monkeypatch):
     a, b, pa, pb = write_pair(tmp_path)
-    wrong = Matrix.zeros(a.rows, b.cols, a.modulus)
+    wrong = mh.zeros(a.rows, b.cols, a.modulus)
     monkeypatch.setattr(cli, "matrix_multiply", lambda x, y: wrong)
     rc, _, err = run_cli(
         capsys, "run", "--scheme", "tri",

@@ -111,9 +111,9 @@ def test_each_input_encoded_by_one_kernel_call(kind: SchemeKind, q: int, monkeyp
     field = PrimeModulus(q)
     p = PartitionScheme(2, 3, 2)
     a, b = random_matrix(4, 6, field, seed=30), random_matrix(6, 4, field, seed=31)
-    grid = evaluation_grid(kind, p, field)
+    tasks = evaluation_grid(kind, p, field)
     for input_id, m in ((0, a), (1, b)):
-        points = sorted({project_point(kind, input_id, t) for t in grid.tasks})
+        points = sorted({project_point(kind, input_id, t) for t in tasks})
         calls.clear()
         batched = encode_shares(kind, p, input_id, m, points)
         assert len(calls) == 1
@@ -122,7 +122,7 @@ def test_each_input_encoded_by_one_kernel_call(kind: SchemeKind, q: int, monkeyp
     calls.clear()
     out, trace = run_job(JobSpec(kind, p, a, b, workers=2))
     assert out == matrix_multiply(a, b)
-    assert len(calls) == 2 + len(grid.axes)
+    assert len(calls) == 2 + len(tasks[0])
     assert trace.encode_counts == upload_counts(kind, p)
 
 
@@ -168,16 +168,16 @@ def test_delay_floor_visible_in_trace() -> None:
 def test_worker_failure_raises_job_failed(monkeypatch) -> None:
     import coded_matmul.runtime as rt
 
-    real = rt.matrix_multiply
+    real = rt.modmatmul
     calls = {"n": 0}
 
-    def flaky(a, b):
+    def flaky(a, b, q):
         calls["n"] += 1
         if calls["n"] == 3:
             raise RuntimeError("worker blew up")
-        return real(a, b)
+        return real(a, b, q)
 
-    monkeypatch.setattr(rt, "matrix_multiply", flaky)
+    monkeypatch.setattr(rt, "modmatmul", flaky)
     with pytest.raises(JobFailed) as exc_info:
         run_job(make_spec(SchemeKind.TRI, workers=2))
     trace = exc_info.value.trace
@@ -220,10 +220,10 @@ def test_every_task_failing_with_surplus_workers_raises(monkeypatch) -> None:
     # threads it started have exited, not wait for 64 exits.
     import coded_matmul.runtime as rt
 
-    def broken(a, b):
+    def broken(a, b, q):
         raise RuntimeError("worker blew up")
 
-    monkeypatch.setattr(rt, "matrix_multiply", broken)
+    monkeypatch.setattr(rt, "modmatmul", broken)
     raised = []
 
     def attempt() -> None:
@@ -237,6 +237,65 @@ def test_every_task_failing_with_surplus_workers_raises(monkeypatch) -> None:
     assert not waiter.is_alive()
     assert len(raised) == 1
     assert raised[0].trace.records == []
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_killed_by_base_exception_fails_the_job(monkeypatch, workers: int) -> None:
+    # SystemExit is not an Exception, so it ends the worker thread instead
+    # of failing one task; the coordinator must still see that thread exit.
+    import coded_matmul.runtime as rt
+
+    real = rt.modmatmul
+    lock = threading.Lock()
+    calls = {"n": 0}
+
+    def dies_first(a, b, q):
+        with lock:
+            calls["n"] += 1
+            first = calls["n"] == 1
+        if first:
+            raise SystemExit("worker killed")
+        return real(a, b, q)
+
+    monkeypatch.setattr(rt, "modmatmul", dies_first)
+    raised = []
+
+    def attempt() -> None:
+        with pytest.raises(JobFailed) as exc_info:
+            run_job(make_spec(SchemeKind.TRI, workers=workers))
+        raised.append(exc_info.value)
+
+    waiter = threading.Thread(target=attempt, daemon=True)
+    waiter.start()
+    waiter.join(timeout=20.0)
+    assert not waiter.is_alive()
+    assert len(raised) == 1
+    # On one shared queue the surviving worker runs every other task.
+    rth = recovery_threshold(SchemeKind.TRI, PartitionScheme(2, 2, 2))
+    assert len(raised[0].trace.records) == (rth - 1 if workers > 1 else 0)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_job_builds_one_matrix_the_product(kind: SchemeKind, monkeypatch) -> None:
+    # Between its two inputs and its product a job holds arrays: shares and
+    # result blocks are never wrapped, so the only Matrix built is the product.
+    q, n = 2**31 - 1, 128
+    field = PrimeModulus(q)
+    rng = np.random.default_rng(5)
+    a, b = (Matrix(n, n, rng.integers(0, q, (n, n)), field) for _ in range(2))
+    built = []
+    post_init = Matrix.__post_init__
+
+    def counted(self) -> None:
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    out, _ = run_job(JobSpec(kind, PartitionScheme(2, 2, 2), a, b, workers=2))
+    assert len(built) == 1 and built[0] is out
+    monkeypatch.undo()
+    assert out == matrix_multiply(a, b)
 
 
 def test_dynamic_beats_static_with_skewed_worker() -> None:

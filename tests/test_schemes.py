@@ -23,6 +23,7 @@ from coded_matmul.blockmat import (
     DimensionError,
     Matrix,
     PartitionScheme,
+    ShapeError,
     matrix_multiply,
     partition_matrix,
 )
@@ -43,6 +44,8 @@ from coded_matmul.schemes import (
     recovery_threshold,
     upload_counts,
 )
+
+import matrix_helpers as mh
 
 F7 = PrimeModulus(7)
 F101 = PrimeModulus(101)
@@ -170,6 +173,11 @@ def share(
     return Matrix(*data.shape, data, m.modulus)
 
 
+def grid_axes(tasks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Each axis's points, in order of first appearance in the task tuple."""
+    return tuple(tuple(dict.fromkeys(t[k] for t in tasks)) for k in range(len(tasks[0])))
+
+
 def task_results(
     kind: SchemeKind,
     p: PartitionScheme,
@@ -179,10 +187,10 @@ def task_results(
 ) -> list[TaskResult]:
     """Encode both inputs and multiply share pairs at every grid task."""
     results = []
-    for point in evaluation_grid(kind, p, field).tasks:
+    for point in evaluation_grid(kind, p, field):
         s0 = share(kind, p, 0, a, project_point(kind, 0, point))
         s1 = share(kind, p, 1, b, project_point(kind, 1, point))
-        results.append(TaskResult(point, matrix_multiply(s0, s1)))
+        results.append(TaskResult(point, matrix_multiply(s0, s1).data))
     return results
 
 
@@ -194,7 +202,7 @@ def run_scheme(
     field: PrimeModulus,
 ) -> Matrix:
     """Encode both inputs, multiply share pairs at every grid task, decode."""
-    return decode_product(kind, p, task_results(kind, p, a, b, field))
+    return decode_product(kind, p, task_results(kind, p, a, b, field), field)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +260,9 @@ def test_upload_counts_match_distinct_grid_projections() -> None:
     for kind in ALL_KINDS:
         for p0, p1, p2 in [(1, 1, 1), (2, 2, 2), (3, 2, 4), (2, 3, 1)]:
             p = PartitionScheme(p0, p1, p2)
-            grid = evaluation_grid(kind, p, FBIG)
-            distinct0 = {project_point(kind, 0, t) for t in grid.tasks}
-            distinct1 = {project_point(kind, 1, t) for t in grid.tasks}
+            tasks = evaluation_grid(kind, p, FBIG)
+            distinct0 = {project_point(kind, 0, t) for t in tasks}
+            distinct1 = {project_point(kind, 1, t) for t in tasks}
             assert upload_counts(kind, p) == (len(distinct0), len(distinct1))
 
 
@@ -263,22 +271,22 @@ def test_upload_counts_match_distinct_grid_projections() -> None:
 
 
 def test_grid_tri_2_2_2() -> None:
-    grid = evaluation_grid(SchemeKind.TRI, PartitionScheme(2, 2, 2), F101)
-    assert grid.axes == ((1, 2), (1, 2, 3), (1, 2))
-    assert len(grid.tasks) == 12
+    tasks = evaluation_grid(SchemeKind.TRI, PartitionScheme(2, 2, 2), F101)
+    assert grid_axes(tasks) == ((1, 2), (1, 2, 3), (1, 2))
+    assert len(tasks) == 12
 
 
 def test_grid_epc_trivial() -> None:
-    grid = evaluation_grid(SchemeKind.EPC, PartitionScheme(1, 1, 1), F101)
-    assert grid.axes == ((1,),)
-    assert grid.tasks == ((1,),)
+    tasks = evaluation_grid(SchemeKind.EPC, PartitionScheme(1, 1, 1), F101)
+    assert grid_axes(tasks) == ((1,),)
+    assert tasks == ((1,),)
 
 
 def test_grid_bi0_axis_sizes() -> None:
     p = PartitionScheme(3, 2, 4)
-    grid = evaluation_grid(SchemeKind.BI0, p, F101)
-    assert tuple(len(a) for a in grid.axes) == (3, 9)
-    assert len(grid.tasks) == 27 == recovery_threshold(SchemeKind.BI0, p)
+    tasks = evaluation_grid(SchemeKind.BI0, p, F101)
+    assert tuple(len(a) for a in grid_axes(tasks)) == (3, 9)
+    assert len(tasks) == 27 == recovery_threshold(SchemeKind.BI0, p)
 
 
 def test_grid_task_count_equals_threshold_everywhere() -> None:
@@ -287,15 +295,15 @@ def test_grid_task_count_equals_threshold_everywhere() -> None:
             for p1 in (1, 2, 3):
                 for p2 in (1, 2, 3):
                     p = PartitionScheme(p0, p1, p2)
-                    grid = evaluation_grid(kind, p, FBIG)
-                    assert len(grid.tasks) == recovery_threshold(kind, p)
-                    assert len(set(grid.tasks)) == len(grid.tasks)
+                    tasks = evaluation_grid(kind, p, FBIG)
+                    assert len(tasks) == recovery_threshold(kind, p)
+                    assert len(set(tasks)) == len(tasks)
 
 
 def test_grid_lexicographic_order() -> None:
-    grid = evaluation_grid(SchemeKind.TRI, PartitionScheme(2, 2, 2), F101)
-    assert grid.tasks[:4] == ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2))
-    assert list(grid.tasks) == sorted(grid.tasks)
+    tasks = evaluation_grid(SchemeKind.TRI, PartitionScheme(2, 2, 2), F101)
+    assert tasks[:4] == ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2))
+    assert list(tasks) == sorted(tasks)
 
 
 def test_grid_field_too_small() -> None:
@@ -320,8 +328,7 @@ def test_encode_trivial_partition_returns_sole_block() -> None:
     p = PartitionScheme(1, 1, 1)
     m = random_matrix(4, 4, F101, seed=0)
     for kind in ALL_KINDS:
-        g = evaluation_grid(kind, p, F101)
-        for point in g.tasks:
+        for point in evaluation_grid(kind, p, F101):
             assert share(kind, p, 0, m, project_point(kind, 0, point)) == m
 
 
@@ -329,8 +336,8 @@ def test_encode_epc_at_one_sums_blocks() -> None:
     p = PartitionScheme(2, 1, 1)
     m = random_matrix(4, 2, F101, seed=1)
     grid = partition_matrix(m, 2, 1)
-    assert share(SchemeKind.EPC, p, 0, m, (1,)) == (
-        block(grid, 0, 0, F101) + block(grid, 1, 0, F101)
+    assert share(SchemeKind.EPC, p, 0, m, (1,)) == mh.add(
+        block(grid, 0, 0, F101), block(grid, 1, 0, F101)
     )
 
 
@@ -339,11 +346,11 @@ def test_encode_tri_matches_direct_sum() -> None:
     p = PartitionScheme(2, 2, 2)
     m = random_matrix(4, 4, F101, seed=2)
     grid = partition_matrix(m, 2, 2)
-    expected = Matrix.zeros(2, 2, F101)
+    expected = mh.zeros(2, 2, F101)
     for b0 in range(2):
         for b1 in range(2):
             c = pow(2, b0, 101) * pow(3, b1, 101) % 101
-            expected = expected + block(grid, b0, b1, F101).scale(c)
+            expected = mh.add(expected, mh.scale(block(grid, b0, b1, F101), c))
     assert share(SchemeKind.TRI, p, 0, m, (2, 3)) == expected
 
 
@@ -362,11 +369,10 @@ def test_encode_matches_symbolic_oracle_scalar_blocks() -> None:
                 rows, cols, [vals[i, j] for i in range(rows) for j in range(cols)], F101
             )
             poly = oracle_input_poly(kind, input_id, p, vals, q)
-            grid = evaluation_grid(kind, p, F101)
-            for point in grid.tasks[:6]:
+            for point in evaluation_grid(kind, p, F101)[:6]:
                 proj = project_point(kind, input_id, point)
                 # oracle works on the full-arity point
-                assert share(kind, p, input_id, m, proj).at(0, 0) == poly_eval(poly, point, q)
+                assert mh.at(share(kind, p, input_id, m, proj), 0, 0) == poly_eval(poly, point, q)
 
 
 def test_encode_is_linear() -> None:
@@ -374,11 +380,10 @@ def test_encode_is_linear() -> None:
     a = random_matrix(4, 4, F101, seed=4)
     b = random_matrix(4, 4, F101, seed=5)
     for kind in ALL_KINDS:
-        grid = evaluation_grid(kind, p, F101)
-        point = grid.tasks[-1]
+        point = evaluation_grid(kind, p, F101)[-1]
         proj = project_point(kind, 0, point)
-        lhs = share(kind, p, 0, a + b, proj)
-        rhs = share(kind, p, 0, a, proj) + share(kind, p, 0, b, proj)
+        lhs = share(kind, p, 0, mh.add(a, b), proj)
+        rhs = mh.add(share(kind, p, 0, a, proj), share(kind, p, 0, b, proj))
         assert lhs == rhs
 
 
@@ -467,9 +472,9 @@ def test_interpolate_round_trip_degree_5() -> None:
     points = (1, 2, 3, 4, 5, 6)
     samples = []
     for x in points:
-        acc = Matrix.zeros(2, 3, F101)
+        acc = mh.zeros(2, 3, F101)
         for k, c in enumerate(coeffs):
-            acc = acc + c.scale(pow(x, k, 101))
+            acc = mh.add(acc, mh.scale(c, pow(x, k, 101)))
         samples.append(acc.data)
     recovered = interpolate_univariate(points, np.stack(samples), F101, range(6))
     assert recovered.tolist() == [c.data.tolist() for c in coeffs]
@@ -540,7 +545,7 @@ def test_decode_accepts_results_in_any_order(kind: SchemeKind) -> None:
     random.Random(22).shuffle(shuffled)
     assert shuffled != results
     for order in (results[::-1], shuffled):
-        assert decode_product(kind, p, order) == matrix_multiply(a, b)
+        assert decode_product(kind, p, order, F101) == matrix_multiply(a, b)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -551,7 +556,7 @@ def test_decode_epc_arbitrary_points(kind: SchemeKind) -> None:
     a = random_matrix(4, 4, FBIG, seed=15)
     b = random_matrix(4, 4, FBIG, seed=16)
     rng = random.Random(17)
-    sizes = [len(axis) for axis in evaluation_grid(kind, p, FBIG).axes]
+    sizes = [len(axis) for axis in grid_axes(evaluation_grid(kind, p, FBIG))]
     axes = [rng.sample(range(1000, 10**9), n) for n in sizes]
     points = list(itertools.product(*axes))
     rng.shuffle(points)
@@ -559,8 +564,8 @@ def test_decode_epc_arbitrary_points(kind: SchemeKind) -> None:
     for point in points:
         s0 = share(kind, p, 0, a, project_point(kind, 0, point))
         s1 = share(kind, p, 1, b, project_point(kind, 1, point))
-        results.append(TaskResult(point, matrix_multiply(s0, s1)))
-    assert decode_product(kind, p, results) == matrix_multiply(a, b)
+        results.append(TaskResult(point, matrix_multiply(s0, s1).data))
+    assert decode_product(kind, p, results, FBIG) == matrix_multiply(a, b)
 
 
 @pytest.mark.parametrize("q", [101, 2**61 - 1])
@@ -573,7 +578,7 @@ def test_decode_shuffled_random_grid(kind: SchemeKind, dims: tuple, q: int) -> N
     a = random_matrix(12, 4, field, seed=40)
     b = random_matrix(4, 12, field, seed=41)
     rng = random.Random(f"{kind.value} {dims} {q}")
-    sizes = [len(axis) for axis in evaluation_grid(kind, p, field).axes]
+    sizes = [len(axis) for axis in grid_axes(evaluation_grid(kind, p, field))]
     axes = [rng.sample(range(1, q), n) for n in sizes]
     points = list(itertools.product(*axes))
     rng.shuffle(points)
@@ -583,11 +588,11 @@ def test_decode_shuffled_random_grid(kind: SchemeKind, dims: tuple, q: int) -> N
             matrix_multiply(
                 share(kind, p, 0, a, project_point(kind, 0, point)),
                 share(kind, p, 1, b, project_point(kind, 1, point)),
-            ),
+            ).data,
         )
         for point in points
     ]
-    assert decode_product(kind, p, results) == matrix_multiply(a, b)
+    assert decode_product(kind, p, results, field) == matrix_multiply(a, b)
 
 
 @pytest.mark.parametrize(
@@ -617,7 +622,7 @@ def test_decode_applies_only_wanted_rows(kind, inverse_shapes, monkeypatch) -> N
         return kernel(x, y, modulus)
 
     monkeypatch.setattr(schemes, "modmatmul", recorded)
-    assert decode_product(kind, p, results) == matrix_multiply(a, b)
+    assert decode_product(kind, p, results, F101) == matrix_multiply(a, b)
     assert shapes == inverse_shapes
 
 
@@ -629,24 +634,41 @@ def test_decode_rejects_missing_and_duplicate_tasks() -> None:
     last = results[-1]
     assert last.point == (2, 3, 2)
     with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, results[:-1])
+        decode_product(SchemeKind.TRI, p, results[:-1], F101)
     with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, results[:-1] + [results[0]])
+        decode_product(SchemeKind.TRI, p, results[:-1] + [results[0]], F101)
     with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, results + [results[0]])
+        decode_product(SchemeKind.TRI, p, results + [results[0]], F101)
     # Right count, but (2, 3, 3) is off the Cartesian grid.
+    off_grid = results[:-1] + [TaskResult((2, 3, 3), last.block)]
     with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, results[:-1] + [TaskResult((2, 3, 3), last.block)])
+        decode_product(SchemeKind.TRI, p, off_grid, F101)
+    too_long = results[:-1] + [TaskResult((2, 3, 2, 1), last.block)]
     with pytest.raises(PointArityError):
-        decode_product(SchemeKind.TRI, p, results[:-1] + [TaskResult((2, 3, 2, 1), last.block)])
+        decode_product(SchemeKind.TRI, p, too_long, F101)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_decode_rejects_block_of_another_shape(kind: SchemeKind) -> None:
+    p = PartitionScheme(2, 2, 2)
+    a = random_matrix(4, 4, F101, seed=44)
+    b = random_matrix(4, 4, F101, seed=45)
+    results = task_results(kind, p, a, b, F101)
+    assert decode_product(kind, p, results, F101) == matrix_multiply(a, b)
+    last = results[-1]
+    # One block twice as wide as the rest, first or last in the list.
+    wide = TaskResult(last.point, np.hstack([last.block, last.block]))
+    with pytest.raises(ShapeError):
+        decode_product(kind, p, results[:-1] + [wide], F101)
+    with pytest.raises(ShapeError):
+        decode_product(kind, p, [wide] + results[:-1], F101)
 
 
 def test_share_shapes() -> None:
     p = PartitionScheme(2, 2, 2)
     a = random_matrix(4, 6, F101, seed=20)  # left factor 4x6 -> blocks 2x3
     b = random_matrix(6, 4, F101, seed=21)  # right factor 6x4 -> blocks 3x2
-    grid = evaluation_grid(SchemeKind.BI0, p, F101)
-    points = grid.tasks[:3]
+    points = evaluation_grid(SchemeKind.BI0, p, F101)[:3]
     s0 = encode_shares(
         SchemeKind.BI0, p, 0, a, [project_point(SchemeKind.BI0, 0, t) for t in points]
     )
