@@ -7,29 +7,45 @@ comparison, no floating slack).  The p1 cap never needs to be guessed: the
 download overhead satisfies delta_d >= p1 - 1, so any p1 above
 floor(budget) + 1 is infeasible and the cap is derived.
 
+A sweep is one array pass per kind.  The box of its largest budget, the
+same for every kind, is enumerated once as flat int64 arrays in
+lexicographic order, on which `recovery_threshold` and `upload_counts`
+evaluate unchanged.  Over the common denominator K the overheads are
+R0 p2 / K - 1, R1 p0 / K - 1 and R_th p1 / K - 1, so with
+top = max(R0 p2, R1 p0, R_th p1) a point fits budget num/den exactly when
+top <= floor((num + den) K / den).  That floor is taken on Python ints, once
+per distinct K and budget, and clipped into int64, so one broadcast
+comparison buckets every point by the smallest budget it fits, exact for
+any rational budget however large its numerator or denominator.
+
 Every candidate is simulated under one `straggler_sim.SimTemplate`, the
-model `coded-matmul simulate` reads too.  A trade-off sweep enumerates each
-kind's box once, draws one pooled completion table for all its cells, up
-to the largest R_th of its candidates, and scores each candidate once, as
-column R_th - 1 over K.  A column does not depend on how far the table was
-drawn, so a candidate gets the same estimate in every sweep and from
-`estimate_mean_latency(sim, R_th, K)`.  Cross-budget comparisons are
-therefore exact: a larger budget's feasible set contains the smaller one's,
-and the minimum over a superset of identical values cannot increase.
+model `coded-matmul simulate` reads too.  One pooled completion table is
+drawn per sweep, up to the largest R_th of its candidates, and each
+candidate is scored once, as column R_th - 1 over K.  A column does not
+depend on how far the table was drawn, so a candidate gets the same
+estimate in every sweep and from `estimate_mean_latency(sim, R_th, K)`.
+One `np.lexsort` by (mean, K, p0, p1, p2) ranks a kind's candidates, and a
+budget's winner is the first of them whose bucket is at or below it.  So
+cross-budget comparisons are exact: a larger budget's feasible set contains
+the smaller one's, and the minimum over a superset of identical values
+cannot increase.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from types import SimpleNamespace
+
+import numpy as np
 
 from .blockmat import PartitionScheme
 from .overheads import OverheadReport, compute_overheads
 from .schemes import SchemeKind, recovery_threshold, upload_counts
-from .straggler_sim import LatencyEstimate, SimTemplate, completion_table, summarize
+from .straggler_sim import SimTemplate, completion_table, summarize
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _as_budget(value) -> Fraction:
@@ -54,61 +70,52 @@ class TradeoffRow:
     stderr: float | None
 
 
-class _Candidate(NamedTuple):
-    p: PartitionScheme
-    rth: int
-    binding: Fraction  # max(delta_u0, delta_u1, delta_d)
+def _box(
+    levels: list[Fraction], p0_cap: int, p2_cap: int, force_p1_single: bool
+) -> SimpleNamespace:
+    """Every point of the box of the largest of the ascending `levels`, in
+    lexicographic order, one array entry per point: p0, p1, p2 and K, and
+    `limit[i, j]`, the largest binding count point i may have at levels[j].
+    The `_CODES` formulas read the namespace as a partition."""
+    if min(p0_cap, p2_cap) < 1:
+        raise ValueError("partition caps must be >= 1")
+    p1_cap = 1 if force_p1_single else max(math.floor(levels[-1]) + 1, 0)
+    axes = (np.arange(1, cap + 1, dtype=np.int64) for cap in (p0_cap, p1_cap, p2_cap))
+    p0, p1, p2 = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    k = p0 * p1 * p2
+    ks, at = np.unique(k, return_inverse=True)
+    # top * den <= (num + den) * K exactly when top <= floor((num + den) K / den),
+    # taken here on Python ints; every count is >= 1 and fits int64, so
+    # clipping the floor into [0, int64 max] decides nothing.
+    num = np.array([b.numerator + b.denominator for b in levels], dtype=object)
+    den = np.array([b.denominator for b in levels], dtype=object)
+    limit = np.clip(ks.astype(object)[:, None] * num // den, 0, _INT64_MAX).astype(np.int64)
+    return SimpleNamespace(p0=p0, p1=p1, p2=p2, K=k, limit=limit[at])
 
 
 def _feasible(
-    kind: SchemeKind, budget: Fraction, p0_cap: int, p2_cap: int, force_p1_single: bool
-) -> list[_Candidate]:
-    """Every scheme in the box whose three overheads fit the budget, lexicographic.
+    kind: SchemeKind, box: SimpleNamespace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The box points that fit the largest level, in lexicographic order:
+    their indices, their R_th and their bucket, the index of the smallest
+    level each one fits."""
+    (r0, r1), rth = upload_counts(kind, box), recovery_threshold(kind, box)
+    top = np.maximum.reduce([r0 * box.p2, r1 * box.p0, rth * box.p1])
+    bucket = (top[:, None] > box.limit).sum(axis=1)
+    (idx,) = np.nonzero(bucket < box.limit.shape[1])
+    return idx, rth[idx], bucket[idx]
 
-    Over the common denominator K, the overheads `overheads` defines are
-    R0 p2 / K - 1, R1 p0 / K - 1 and R_th p1 / K - 1, so the binding one,
-    the largest, is picked and checked against the budget on integers."""
-    if min(p0_cap, p2_cap) < 1:
-        raise ValueError("partition caps must be >= 1")
-    num, den = budget.numerator, budget.denominator
-    p1_cap = 1 if force_p1_single else math.floor(budget) + 1
-    out = []
-    for p0 in range(1, p0_cap + 1):
-        for p1 in range(1, p1_cap + 1):
-            for p2 in range(1, p2_cap + 1):
-                p, k = PartitionScheme(p0, p1, p2), p0 * p1 * p2
-                (r0, r1), rth = upload_counts(kind, p), recovery_threshold(kind, p)
-                top = max(r0 * p2, r1 * p0, rth * p1)
-                if top * den <= (num + den) * k:
-                    out.append(_Candidate(p, rth, Fraction(top - k, k)))
-    return out
+
+def _partition(box: SimpleNamespace, i: int) -> PartitionScheme:
+    return PartitionScheme(int(box.p0[i]), int(box.p1[i]), int(box.p2[i]))
 
 
 def feasible_partitions(
     kind: SchemeKind, budget, *, p0_cap: int, p2_cap: int, force_p1_single: bool = False
 ) -> list[PartitionScheme]:
     """Every scheme in the box whose three overheads fit the budget, lexicographic."""
-    return [c.p for c in _feasible(kind, _as_budget(budget), p0_cap, p2_cap, force_p1_single)]
-
-
-def _score(sim: SimTemplate, boxes: list[list[_Candidate]]) -> list[list[LatencyEstimate]]:
-    """Every candidate's latency, read off one pooled completion table drawn
-    up to the largest R_th among them: its R_th's column over its K."""
-    ranks = sorted({c.rth for box in boxes for c in box})
-    if not ranks:
-        return [[] for _ in boxes]
-    table, row = completion_table(sim, ranks).T, {r: j for j, r in enumerate(ranks)}
-    return [
-        summarize(table[[row[c.rth] for c in box]] / [[c.p.K] for c in box]) if box else []
-        for box in boxes
-    ]
-
-
-def _rank(scored: tuple[_Candidate, LatencyEstimate]) -> tuple:
-    """Lowest mean latency first; ties go to the smaller partition level K,
-    then lexicographic (p0, p1, p2)."""
-    p, est = scored[0].p, scored[1]
-    return est.mean, p.K, (p.p0, p.p1, p.p2)
+    box = _box([_as_budget(budget)], p0_cap, p2_cap, force_p1_single)
+    return [_partition(box, i) for i in _feasible(kind, box)[0]]
 
 
 def tradeoff_curve(
@@ -121,33 +128,45 @@ def tradeoff_curve(
     force_p1_single: bool = False,
 ) -> list[TradeoffRow]:
     """For each (kind, budget), the feasible scheme with the lowest mean
-    latency, ties by `_rank`, with that budget on all three overheads;
-    infeasible cells become marked rows, not gaps.
+    latency, with that budget on all three overheads; infeasible cells
+    become marked rows, not gaps.
 
-    A cell's feasible set is the candidates of the largest budget whose
-    binding overhead is within its budget.  So each kind's box is enumerated
-    once, one table serves all kinds, each candidate is scored once, and
-    the budgets are visited in ascending order keeping a running best."""
+    Each kind's box points are bucketed by the smallest budget they fit,
+    compared exactly on integers, and scored once off one table for all
+    kinds.  Ties go to the smaller K, then the lexicographically smaller
+    (p0, p1, p2): one `np.lexsort` ranks by (mean, K, p0, p1, p2), and each
+    budget's winner is the first ranked candidate whose bucket is at or
+    below it.  Objects are built only for the rows returned, with the
+    estimates of `summarize`, each bit-identical to its row scored alone."""
     if not kinds or not budgets:
         raise ValueError("kinds and budgets must be nonempty")
     cells = [_as_budget(b) for b in budgets]
     levels = sorted(set(cells))
-    boxes = [_feasible(k, levels[-1], p0_cap, p2_cap, force_p1_single) for k in kinds]
+    box = _box(levels, p0_cap, p2_cap, force_p1_single)
+    found = [_feasible(kind, box) for kind in kinds]
+    ranks = sorted(set(np.concatenate([rth for _, rth, _ in found]).tolist()))
+    table = completion_table(sim, ranks).T if ranks else np.empty((0, sim.trials))
     rows = []
-    for kind, box, estimates in zip(kinds, boxes, _score(sim, boxes)):
-        buckets: list[list] = [[] for _ in levels]  # by the smallest budget met
-        for scored in zip(box, estimates):
-            buckets[bisect.bisect_left(levels, scored[0].binding)].append(scored)
-        best, at_level = [], {}
-        for level, bucket in zip(levels, buckets):
-            best = at_level[level] = sorted(best + bucket, key=_rank)[:1]
+    for kind, (idx, rth, bucket) in zip(kinds, found):
+        samples = table[np.searchsorted(ranks, rth)] / box.K[idx, None]
+        order = np.lexsort(
+            (box.p2[idx], box.p1[idx], box.p0[idx], box.K[idx], samples.mean(axis=1))
+        )
+        # The running minimum of the ranked buckets never rises, so budget
+        # j's winner is the first ranked candidate where it reaches j.
+        first = np.searchsorted(-np.minimum.accumulate(bucket[order]), -np.arange(len(levels)))
+        (won,) = np.nonzero(first < len(order))
+        chosen, at = np.unique(order[first[won]], return_inverse=True)
+        made = []
+        for c, est in zip(chosen.tolist(), summarize(samples[chosen])):
+            part = _partition(box, idx[c])
+            made.append((part, compute_overheads(kind, part), est.mean, est.stderr))
+        best = {levels[j]: made[a] for j, a in zip(won.tolist(), at.tolist())}
         for b in cells:
-            if not at_level[b]:
+            if b in best:
+                rows.append(TradeoffRow(kind, b, True, *best[b]))
+            else:
                 rows.append(TradeoffRow(kind, b, False, None, None, None, None))
-                continue
-            cand, est = at_level[b][0]
-            report = compute_overheads(kind, cand.p)
-            rows.append(TradeoffRow(kind, b, True, cand.p, report, est.mean, est.stderr))
     return rows
 
 

@@ -378,6 +378,33 @@ def test_tradeoff_csv_matches_golden_file(capsys, extra, golden):
     assert out.encode() == (DATA / golden).read_bytes()
 
 
+# Produced by the integer-loop search that the array pass replaced: the
+# first budget is just under 2 with a 2^60 denominator, the second is 1/10^30.
+HUGE_BUDGET_ROWS = (
+    "epc,2.0,2,2,2,8,9,0.125,1.25,1.25,1.25,0.1646434709697728,0.0019438305283342415,true\n"
+    "epc,1e-30,1,1,1,1,1,0.0,0.0,0.0,0.0,1.0254024541808278,0.004174339081015933,true\n"
+    "bi0,2.0,6,2,2,24,30,0.25,1.5,0.25,1.5,0.08580362106198695,0.0012332656897385398,true\n"
+    "bi0,1e-30,6,1,1,6,6,0.0,0.0,0.0,0.0,0.20137299137094478,0.002058997313403382,true\n"
+    "bi2,2.0,2,2,6,24,30,0.25,0.25,1.5,1.5,0.08580362106198695,0.0012332656897385398,true\n"
+    "bi2,1e-30,1,1,6,6,6,0.0,0.0,0.0,0.0,0.20137299137094478,0.002058997313403382,true\n"
+    "tri,2.0,6,1,6,36,36,0.0,0.0,0.0,0.0,0.06272924396170178,0.000909953307025701,true\n"
+    "tri,1e-30,6,1,6,36,36,0.0,0.0,0.0,0.0,0.06272924396170178,0.000909953307025701,true\n"
+)
+
+
+def test_tradeoff_exact_at_huge_budget_denominators(capsys):
+    # Budget comparisons stay exact however far the numerator and the
+    # denominator reach past int64.
+    rc, out, err = run_cli(
+        capsys, "tradeoff", "--schemes", "all",
+        "--budgets", "2305843009213693951/1152921504606846976,1e-30",
+        "--workers", "300", "--lambda-inv", "10", "--t0", "1",
+        "--p0-cap", "6", "--p2-cap", "6", "--trials", "50", "--seed", "3",
+    )
+    assert rc == 0 and err == ""
+    assert out == TRADEOFF_CSV_HEADER + "\n" + HUGE_BUDGET_ROWS
+
+
 def test_tradeoff_out_file_matches_stdout(capsys, tmp_path):
     dest = tmp_path / "curve.csv"
     base = ["tradeoff", "--schemes", "epc", "--budgets", "1",

@@ -14,10 +14,13 @@ candidates.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coded_matmul import optimizer
 from coded_matmul.blockmat import PartitionScheme
@@ -109,6 +112,56 @@ def test_feasible_set_matches_closed_form_oracle() -> None:
             got = feasible_set(kind, budget, caps=(6, 6))
             p1_cap = int(budget) + 1
             assert got == oracle_feasible(kind, budget, 6, 6, p1_cap)
+
+
+# Budgets whose numerator or denominator is far beyond int64: the first is
+# just under 2, and an int64 product top * den overflows at it.
+HUGE_BUDGETS = [
+    Fraction(2**61 - 1, 2**60),
+    Fraction(2**62 + 1, 2**62),
+    Fraction(10**30 + 1, 10**30),
+    Fraction(-(2**70), 3),
+]
+
+
+def test_feasible_set_exact_at_huge_budget_denominators() -> None:
+    for kind, budget, force_p1_single in itertools.product(
+        ALL_KINDS, HUGE_BUDGETS, (False, True)
+    ):
+        got = feasible_partitions(
+            kind, budget, p0_cap=6, p2_cap=6, force_p1_single=force_p1_single
+        )
+        # The oracle runs p1 one past the derived cap, as `brute_force_row` does.
+        p1_cap = 1 if force_p1_single else math.floor(budget) + 2
+        want = sorted(oracle_feasible(kind, budget, 6, 6, p1_cap))
+        assert [(p.p0, p.p1, p.p2) for p in got] == want, (kind, budget, force_p1_single)
+
+
+def test_sweep_exact_at_huge_budget_denominator() -> None:
+    budget = Fraction(2**61 - 1, 2**60)
+    for force_p1_single in (False, True):
+        rows = tradeoff_curve(
+            ALL_KINDS, [budget], p0_cap=4, p2_cap=3, sim=SIM, force_p1_single=force_p1_single
+        )
+        for row, kind in zip(rows, ALL_KINDS, strict=True):
+            assert row == brute_force_row(kind, budget, (4, 3), SIM, force_p1_single)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    caps=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    budget=st.builds(Fraction, st.integers(-3, 60), st.integers(1, 12)),
+    force_p1_single=st.booleans(),
+)
+def test_feasible_partitions_equal_sorted_oracle(kind, caps, budget, force_p1_single) -> None:
+    # As a list, so the lexicographic order is pinned as well as the set.
+    got = feasible_partitions(
+        kind, budget, p0_cap=caps[0], p2_cap=caps[1], force_p1_single=force_p1_single
+    )
+    p1_cap = 1 if force_p1_single else math.floor(budget) + 2
+    want = sorted(oracle_feasible(kind, budget, caps[0], caps[1], p1_cap))
+    assert [(p.p0, p.p1, p.p2) for p in got] == want
 
 
 def test_derived_p1_cap_is_reachable() -> None:
