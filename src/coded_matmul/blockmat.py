@@ -1,12 +1,19 @@
 """Dense matrices over F_q with block partitioning and one exact product kernel.
 
-A `Matrix` holds a checked rows x cols `field_array` (int64 for q < 2^31,
-Python ints above).  It is the boundary type: what `read_matrix` returns
-and `write_matrix` takes, a job's two inputs and its decoded product, and
-the operands of `matrix_multiply`, the reference product.  Inside the coded
-pipeline, blocks, shares and task results are plain field arrays, and
-`modmatmul` is the one F_q matrix product under encoding, per-task multiply
-and decoding.
+A `Matrix` holds a checked rows x cols `field_array`, int64 for every q the
+program accepts (q < 2^63).  It is the boundary type: what `read_matrix`
+returns and `write_matrix` takes, a job's two inputs and its decoded
+product, and the operands of `matrix_multiply`, the reference product.
+Inside the coded pipeline, blocks, shares and task results are plain field
+arrays, and `modmatmul` is the one F_q matrix product under encoding,
+per-task multiply and decoding.
+
+`modmatmul` multiplies in 16-bit limbs with float64 BLAS products, which
+are exact while every sum they form stays at most 2^52; its docstring gives
+the rule.  Its products run on one BLAS thread, set through OpenBLAS when
+this module is imported: `runtime.run_job`'s worker threads already run the
+block products side by side, and BLAS threads on the same cores stalled
+them.
 
 A matrix is split into an equal-size grid of blocks, held as one array
 indexed (block row, block column, row, col): the left factor into p0 x p1
@@ -19,7 +26,9 @@ applied silently, so decode-equality checks stay exact.
 
 from __future__ import annotations
 
+import ctypes
 import string
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +36,12 @@ import numpy as np
 
 from .ffield import PrimeModulus
 
-# Moduli below this hold their entries as int64 and multiply in 16-bit limbs.
-_WORD_Q = 2**31
+# Inner dimensions below this multiply in int64 for q < 2^31: on short, wide
+# shapes such as a share encoding's (9 x 4) @ (4 x 4096) the float kernel's
+# passes over its output cost more than numpy's integer matmul.  Measured on
+# (9 x k) @ (k x 4096), the integer matmul is about 1.45x faster at k = 4
+# and 1.3x at k = 12, and 1.55x slower at k = 16.
+_SHORT_INNER = 16
 
 # The characters of a matrix file that `read_matrix` parses in bulk: ASCII
 # digits, signs and whitespace.  numpy's integer parser reads some other text
@@ -36,6 +49,33 @@ _WORD_Q = 2**31
 # and numpy releases before the removal of a 1.23 deprecation truncate
 # decimals such as `2.5` or `1e3` with only a DeprecationWarning.
 _BULK_CHARS = (string.digits + "+-" + string.whitespace).encode()
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's BLAS to one thread, through OpenBLAS's setter where there is one.
+
+    The setter is looked up in the library that numpy's core extension
+    links, so it acts however late this module is imported and leaves the
+    environment of child processes alone.  Under another BLAS no setter is
+    found and nothing changes, which costs speed but never exactness.
+    """
+    core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+        "numpy.core._multiarray_umath"
+    )
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):
+        return
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+_one_blas_thread()
 
 
 class DimensionError(ValueError):
@@ -64,25 +104,93 @@ class PartitionScheme:
         return self.p0 * self.p1 * self.p2
 
 
-def field_array(data, q: int) -> np.ndarray:
-    """Entries as held over F_q: int64 for q < 2^31, Python ints above."""
-    # Every entry must fit int64, as residues do below PrimeModulus's 2^63 cap.
-    arr = np.asarray(data, dtype=np.int64)
-    return arr if q < _WORD_Q else arr.astype(object)
+def field_array(data) -> np.ndarray:
+    """Entries as held over F_q: int64, which holds every residue below 2^63."""
+    return np.asarray(data, dtype=np.int64)
 
 
 def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact a @ b mod q for 2-D arrays of residues in [0, q).
+    """Exact a @ b mod q, as int64, for 2-D int64 arrays of residues in [0, q).
 
-    Below 2^31 a splits into 16-bit limbs, a = hi * 2^16 + lo, and the product
-    is ((hi @ b) mod q * 2^16 + lo @ b) mod q in int64.  The largest value
-    formed is (q - 1) * (2^16 + inner * (2^16 - 1)); where that reaches 2^63,
-    and for every q >= 2^31, it runs on Python ints in object arrays instead.
+    Both factors split into L = ceil(bits(q - 1) / 16) limbs of 16 bits, held
+    in float64, and the limb products are dgemms.  Diagonal d of the product
+    sums the limb pairs (i, d - i), so it has at most L terms, each a sum of
+    `inner` products below 2^32: the inner dimension is cut into chunks of at
+    most 2^52 / (L * (2^16 - 1)^2) columns (524,304 at L = 2, 262,152 at
+    L = 4), which keeps every partial sum an integer of at most 2^52, exact
+    in float64 in any order.  `_limb_product` reduces one chunk, and the
+    chunks' residues are added mod q.
+
+    Where q < 2^31 and the inner dimension is below `_SHORT_INNER`, a splits
+    into 16-bit limbs alone, a = hi * 2^16 + lo, and the product is
+    ((hi @ b) mod q * 2^16 + lo @ b) mod q in int64, whose largest value,
+    (q - 1) * (2^16 + 15 * (2^16 - 1)), is far below 2^63.
     """
-    if q < _WORD_Q and (q - 1) * (2**16 + a.shape[1] * (2**16 - 1)) < 2**63:
+    inner = a.shape[1]
+    if q < 2**31 and inner < _SHORT_INNER:
         hi, lo = a >> 16, a & 0xFFFF
         return ((hi @ b) % q * 2**16 + lo @ b) % q
-    return field_array((a.astype(object) @ b.astype(object)) % q, q)
+    limbs = -(-(q - 1).bit_length() // 16)
+    chunk = 2**52 // (limbs * 0xFFFF**2)
+    out = _limb_product(a[:, :chunk], b[:chunk], q, limbs)
+    for start in range(chunk, inner, chunk):
+        out += _limb_product(a[:, start:start + chunk], b[start:start + chunk], q, limbs)
+        np.minimum(out, out - np.uint64(q), out=out)
+    return out.view(np.int64)
+
+
+def _limbs(x: np.ndarray, limbs: int) -> np.ndarray:
+    """The low `limbs` 16-bit limbs of x's entries, as a last axis, low limb first."""
+    return np.ascontiguousarray(x, dtype="<i8").view(np.uint16).reshape(*x.shape, 4)[..., :limbs]
+
+
+def _limb_product(a: np.ndarray, b: np.ndarray, q: int, limbs: int) -> np.ndarray:
+    """a @ b mod q, as uint64, where every diagonal sum is at most 2^52.
+
+    a's limbs lie side by side, low limb first, and b's are stacked high limb
+    first, so the pairs (i, d - i) of diagonal d are one column slice of the
+    one and one row slice of the other, and each diagonal is one dgemm.
+
+    The diagonals combine from the top by Horner's rule in base 2^16: each
+    step forms y = r * 2^16 + s from the residue so far, r in [0, 2q), and the
+    diagonal, s in [0, 2^52], and sets r = y - t * q.  The quotient t is
+    y / q estimated in float64 less 1/2, truncated.  The estimate is off by
+    less than 0.34: for q >= 2^20, y / q < 2^17 + 2^32 and four roundings
+    give at most 2^-19; below, y < 2^53 is exact and two roundings give at
+    most (2^17 + 2^52 / 3) * 2^-52.  So t is floor(y / q) or one less, and r
+    stays in [0, 2q).  y and t * q exceed 64 bits, but r does not, so r is
+    formed in wrapping uint64 arithmetic, which is exact mod 2^64.  One
+    conditional subtract of q ends it.  No step uses an array `%`, which
+    costs about ten float multiplies.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    fa = np.ascontiguousarray(_limbs(a, limbs).transpose(0, 2, 1), dtype=np.float64)
+    fa = fa.reshape(m, limbs * k)
+    fb = np.ascontiguousarray(_limbs(b, limbs)[..., ::-1].transpose(2, 0, 1), dtype=np.float64)
+    fb = fb.reshape(limbs * k, n)
+    qinv, uq = 1.0 / q, np.uint64(q)
+    s, e = np.empty((m, n)), np.empty((m, n))
+    t = np.empty((m, n), np.int64)
+    t_unsigned = t.view(np.uint64)
+    r = np.zeros((m, n), np.uint64)
+    # r converts to float faster as int64, which holds it while 2q <= 2^63.
+    r_signed = r.view(np.int64) if q <= 2**62 else r
+    for d in range(2 * limbs - 2, -1, -1):
+        i0, i1 = max(0, d - limbs + 1), min(d, limbs - 1) + 1
+        j0 = limbs - 1 - d + i0
+        np.matmul(fa[:, i0 * k:i1 * k], fb[j0 * k:(j0 + i1 - i0) * k], out=s)
+        np.multiply(r_signed, 2.0**16, out=e)
+        e += s
+        e *= qinv
+        e -= 0.5
+        r <<= np.uint64(16)
+        np.copyto(t_unsigned, s, casting="unsafe")
+        r += t_unsigned
+        np.copyto(t, e, casting="unsafe")
+        t_unsigned *= uq
+        r -= t_unsigned
+    np.minimum(r, np.subtract(r, uq, out=t_unsigned), out=r)
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +230,8 @@ class Matrix:
             raise ValueError("matrix entries must be integers") from None
         if arr is None or arr.min() < 0 or arr.max() >= q:
             raise ValueError(f"matrix entries must be residues in [0, {q})")
-        arr = field_array(arr, q)
-        # An object array (Python ints, as held for q >= 2^31) must equal its
-        # int64 cast, which would truncate a float entry.
+        # An object input must equal its int64 cast, which would truncate a
+        # float entry.
         if raw.dtype.kind == "O" and not (arr == raw).all():
             raise ValueError("matrix entries must be integers")
         arr = arr.reshape(self.rows, self.cols)

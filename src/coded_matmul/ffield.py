@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# 2^31 - 1 (Mersenne prime): elements fit 32 bits, products fit 64 bits,
-# and the field is far larger than any evaluation grid used here.
+# 2^31 - 1 (Mersenne prime): elements fit two 16-bit limbs, products with a
+# short inner dimension stay on `blockmat.modmatmul`'s int64 path, and the
+# field is far larger than any evaluation grid used here.
 DEFAULT_MODULUS = 2147483647
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,9 +54,9 @@ def is_prime(n: int) -> bool:
 class PrimeModulus:
     """A prime 2 < q < 2^63 defining the field F_q.
 
-    Matrices hold elements as int64 below 2^31 and as Python ints above;
-    `blockmat.modmatmul` is the one product kernel, and scalars are inverted
-    with `pow(a, q - 2, q)`.
+    Matrices hold elements as int64 for every such q; `blockmat.modmatmul`
+    is the one product kernel, exact for all of them, and scalars are
+    inverted with `pow(a, q - 2, q)`.
     """
 
     q: int

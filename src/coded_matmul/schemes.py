@@ -232,7 +232,7 @@ def encode_shares(
     ]
     br, bc = blocks.shape[2:]
     shares = modmatmul(
-        field_array(coeffs, q).reshape(len(points), pr * pc), blocks.reshape(pr * pc, br * bc), q
+        field_array(coeffs).reshape(len(points), pr * pc), blocks.reshape(pr * pc, br * bc), q
     )
     return shares.reshape(len(points), br, bc)
 
@@ -285,7 +285,7 @@ def interpolate_univariate(
     if n == 0 or n != samples.shape[0]:
         raise SingularSystem("need equally many points and samples, at least one")
     q = field.q
-    rows = field_array(_lagrange_basis(tuple(points), q), q).T[np.asarray(exponents)]
+    rows = field_array(_lagrange_basis(tuple(points), q)).T[np.asarray(exponents)]
     out = modmatmul(rows, samples.reshape(n, -1), q)
     return out.reshape(rows.shape[:1] + samples.shape[1:])
 

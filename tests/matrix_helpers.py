@@ -3,7 +3,9 @@
 The library holds arrays inside its pipeline and builds a `Matrix` only
 where a matrix enters or leaves, so entry access, sums, scaling and the
 zero, identity and random constructors live here.  Every result is built
-through `Matrix`, so it passes the same checks as library output.
+through `Matrix`, so it passes the same checks as library output.  Sums
+and scalings run on Python ints, which int64 entries near 2^63 would
+overflow.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise DimensionError("matrix addition requires equal shapes")
     q = a.modulus.q
-    return Matrix(a.rows, a.cols, (a.data + b.data) % q, a.modulus)
+    return Matrix(a.rows, a.cols, (a.data.astype(object) + b.data) % q, a.modulus)
 
 
 def scale(m: Matrix, c: int) -> Matrix:
     q = m.modulus.q
-    return Matrix(m.rows, m.cols, c % q * m.data % q, m.modulus)
+    return Matrix(m.rows, m.cols, c % q * m.data.astype(object) % q, m.modulus)
 
 
 def zeros(rows: int, cols: int, modulus: PrimeModulus) -> Matrix:

@@ -23,6 +23,7 @@ from coded_matmul.blockmat import (
     assemble_blocks,
     format_matrix,
     matrix_multiply,
+    modmatmul,
     partition_matrix,
     read_matrix,
     write_matrix,
@@ -128,9 +129,11 @@ def test_multiply_one_by_one() -> None:
     assert matrix_multiply(a, b) == Matrix(1, 1, [1], F7)
 
 
-@pytest.mark.parametrize("q", [101, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("q", [101, 2**31 - 1, 2147483659, 2**61 - 1, 9223372036854775783])
 def test_multiply_matches_definition(q: int) -> None:
-    # One modulus on each path of the kernel: int64 limbs and Python ints.
+    # An inner dimension of 4 runs q < 2^31 on int64 limbs and the rest on
+    # float64 limbs: two limbs up to 2^32 (2147483659 is the first prime
+    # above 2^31), four up to the largest prime below 2^63.
     field = PrimeModulus(q)
     a = random_matrix(3, 4, field, seed=7)
     b = random_matrix(4, 2, field, seed=8)
@@ -139,12 +142,11 @@ def test_multiply_matches_definition(q: int) -> None:
 
 @pytest.mark.parametrize("inner", [65536, 65537])
 def test_multiply_exact_at_limb_bound(inner: int) -> None:
-    # At q = 2^31 - 1 the 16-bit limb product peaks at
-    # (q - 1) * (2^16 + inner * (2^16 - 1)), which is below 2^63 for
-    # inner = 65536 and above it for 65537, so the two sizes run on the two
-    # sides of the kernel's path choice.  Row 0 is all q - 1; row 1 reaches
-    # the peak: every low limb is 2^16 - 1 and the high limbs sum to 1, so
-    # (hi @ b) mod q = q - 1 against a column of q - 1.
+    # At q = 2^31 - 1 an int64 product of a's 16-bit limbs and b would peak
+    # at (q - 1) * (2^16 + inner * (2^16 - 1)), which is below 2^63 for
+    # inner = 65536 and above it for 65537.  Row 0 is all q - 1; row 1
+    # reaches that peak: every low limb is 2^16 - 1 and the high limbs sum
+    # to 1, so (hi @ b) mod q = q - 1 against a column of q - 1.
     q = 2**31 - 1
     field = PrimeModulus(q)
     peak = [0x1FFFF] + [0xFFFF] * (inner - 1)
@@ -152,6 +154,70 @@ def test_multiply_exact_at_limb_bound(inner: int) -> None:
     b = Matrix(inner, 1, [q - 1] * inner, field)
     want = [inner * (q - 1) ** 2 % q, sum(peak) * (q - 1) % q]
     assert matrix_multiply(a, b) == Matrix(2, 1, want, field)
+
+
+KERNEL_MODULI = [2**31 - 1, 2147483659, 2**61 - 1, 9223372036854775783]
+
+
+def limb_count(q: int) -> int:
+    return -(-(q - 1).bit_length() // 16)
+
+
+def limb_peak(q: int) -> int:
+    """The largest entry below q whose 16-bit limbs under the top one are all 0xFFFF."""
+    top = 16 * (limb_count(q) - 1)
+    return ((q >> top) - 1) << top | (1 << top) - 1
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["bound", "bound+1"])
+@pytest.mark.parametrize("q", KERNEL_MODULI)
+def test_multiply_exact_at_chunk_bound(q: int, extra: int) -> None:
+    # With L limbs a diagonal of the float kernel sums at most L * inner limb
+    # products below (2^16 - 1)^2, which is at most 2^52 up to this inner
+    # dimension; one column more splits the product into two chunks.  Row 0
+    # is all q - 1 and row 1 all limb peaks.  Column 2 is q - 1 but for a
+    # last entry of `inner`, so row 0 times it is q - 1, a remainder that
+    # a quotient estimate one too large would miss.  Every row is constant,
+    # so each entry is the row's value times the column's sum.
+    inner = 2**52 // (limb_count(q) * 0xFFFF**2) + extra
+    peak = limb_peak(q)
+    field = PrimeModulus(q)
+    a = np.repeat(np.array([[q - 1], [peak]], dtype=np.int64), inner, axis=1)
+    b = np.repeat(np.array([[q - 1, peak, q - 1]], dtype=np.int64), inner, axis=0)
+    b[-1, 2] = inner
+    column_sums = [inner * (q - 1), inner * peak, (inner - 1) * (q - 1) + inner]
+    want = [[v * c % q for c in column_sums] for v in (q - 1, peak)]
+    assert want[0][2] == q - 1
+    product = matrix_multiply(Matrix(2, inner, a, field), Matrix(inner, 3, b, field))
+    assert product.data.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([3, 65537, *KERNEL_MODULI]),
+    shape=st.one_of(
+        st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+        st.sampled_from([(3, 15, 300), (3, 16, 300)]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modmatmul_matches_definition(q: int, shape: tuple[int, int, int], seed: int) -> None:
+    # Entries mix 0, 1, q - 1, the limb peak and uniform residues.  The
+    # wide shapes' inner dimensions 15 and 16 sit on either side of the
+    # kernel's int64 path for q < 2^31.
+    m, k, n = shape
+    rng = random.Random(seed)
+    special = [0, 1, q - 1, limb_peak(q)]
+
+    def draw(rows: int, cols: int) -> Matrix:
+        data = [rng.choice(special) if rng.random() < 0.6 else rng.randrange(q)
+                for _ in range(rows * cols)]
+        return Matrix(rows, cols, data, PrimeModulus(q))
+
+    a, b = draw(m, k), draw(k, n)
+    got = modmatmul(a.data, b.data, q)
+    assert got.dtype == np.int64
+    assert got.ravel().tolist() == naive_product(a, b)
 
 
 def test_multiply_rejects_mismatch() -> None:

@@ -126,6 +126,21 @@ def test_each_input_encoded_by_one_kernel_call(kind: SchemeKind, q: int, monkeyp
     assert trace.encode_counts == upload_counts(kind, p)
 
 
+@pytest.mark.parametrize("q", [2**61 - 1, 9223372036854775783])
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_concurrent_workers_exact_at_large_q(kind: SchemeKind, workers: int, q: int) -> None:
+    # Above 2^31 the worker threads' block products run side by side, on
+    # int64 and float64 arrays that release the interpreter lock.  Static
+    # mode deals the tasks out, so that every worker runs some.
+    field = PrimeModulus(q)
+    a, b = random_matrix(48, 48, field, seed=50), random_matrix(48, 48, field, seed=51)
+    spec = JobSpec(kind, PartitionScheme(2, 2, 2), a, b, workers=workers, mode="static")
+    product, trace = run_job(spec)
+    assert product == matrix_multiply(a, b)
+    assert {r.worker for r in trace.records} == set(range(workers))
+
+
 @pytest.mark.parametrize("workers", [8, 20])
 def test_static_mode_same_output(workers: int) -> None:
     # tri (2,2,2) has 12 tasks, so at 20 workers task i runs on worker i.
