@@ -10,10 +10,8 @@ per-task multiply and decoding.
 
 `modmatmul` multiplies in 16-bit limbs with float64 BLAS products, which
 are exact while every sum they form stays at most 2^52; its docstring gives
-the rule.  Its products run on one BLAS thread, set through OpenBLAS when
-this module is imported: `runtime.run_job`'s worker threads already run the
-block products side by side, and BLAS threads on the same cores stalled
-them.
+the rule.  Its products run on one BLAS thread, which the package decides
+when it is imported, before numpy is (see `coded_matmul`).
 
 A matrix is split into an equal-size grid of blocks, held as one array
 indexed (block row, block column, row, col): the left factor into p0 x p1
@@ -26,9 +24,6 @@ applied silently, so decode-equality checks stay exact.
 
 from __future__ import annotations
 
-import ctypes
-import string
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,35 +42,9 @@ _SHORT_INNER = 16
 # digits, signs and whitespace.  numpy's integer parser reads some other text
 # differently from `int()`: it misreads some non-ASCII characters as digits,
 # and numpy releases before the removal of a 1.23 deprecation truncate
-# decimals such as `2.5` or `1e3` with only a DeprecationWarning.
-_BULK_CHARS = (string.digits + "+-" + string.whitespace).encode()
-
-
-def _one_blas_thread() -> None:
-    """Set numpy's BLAS to one thread, through OpenBLAS's setter where there is one.
-
-    The setter is looked up in the library that numpy's core extension
-    links, so it acts however late this module is imported and leaves the
-    environment of child processes alone.  Under another BLAS no setter is
-    found and nothing changes, which costs speed but never exactness.
-    """
-    core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
-        "numpy.core._multiarray_umath"
-    )
-    try:
-        lib = ctypes.CDLL(core.__file__)
-    except (AttributeError, OSError):
-        return
-    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
-
-
-_one_blas_thread()
+# decimals such as `2.5` or `1e3` with only a DeprecationWarning.  The
+# whitespace is Python's `string.whitespace`.
+_BULK_CHARS = b"0123456789+- \t\n\r\x0b\x0c"
 
 
 class DimensionError(ValueError):
@@ -198,8 +167,9 @@ class Matrix:
     """A rows x cols matrix of canonical residues in [0, q).
 
     `data` takes rows * cols integer entries in row-major order, in any
-    array-like form, and holds them as a read-only rows x cols
-    `field_array`.  Both dimensions are at least 1.
+    array-like form, and holds them as its own read-only rows x cols
+    `field_array`, which no later write to the input reaches.  Both
+    dimensions are at least 1.
     """
 
     rows: int
@@ -228,6 +198,11 @@ class Matrix:
             arr = None
         except (TypeError, ValueError):
             raise ValueError("matrix entries must be integers") from None
+        # The matrix owns its buffer: an input array, or a buffer numpy reads
+        # in place, could still be written by the caller.  An array numpy
+        # built here, from a list or by the cast, is already its own.
+        if arr is raw and not isinstance(self.data, (list, tuple)):
+            arr = arr.copy()
         if arr is None or arr.min() < 0 or arr.max() >= q:
             raise ValueError(f"matrix entries must be residues in [0, {q})")
         # An object input must equal its int64 cast, which would truncate a

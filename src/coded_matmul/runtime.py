@@ -123,7 +123,10 @@ class JobTrace:
     encode_counts: tuple[int, int] = field(default=(0, 0))
 
 
-def _delay_ms(delay: InjectedDelay, K: int, rng: np.random.Generator, factor: float) -> float:
+def _delay_ms(
+    delay: InjectedDelay, K: int, rng: np.random.Generator | None, factor: float
+) -> float:
+    """A task's sleep; rng, which draws the tail, is None only when lam_inv_ms is 0."""
     tail = rng.standard_exponential() * delay.lam_inv_ms if delay.lam_inv_ms > 0 else 0.0
     return (delay.t0_ms + tail) / K * factor
 
@@ -173,7 +176,13 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         return (time.perf_counter() - job_start) * 1000.0
 
     def worker_loop(wid: int, inbox: queue.SimpleQueue) -> None:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, wid))))
+        # Only the exponential tail draws; without one, numpy.random is
+        # never imported, which spares `coded-matmul multiply` its import.
+        rng = (
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, wid))))
+            if spec.delay.lam_inv_ms > 0
+            else None
+        )
         factor = (
             spec.worker_delay_factors[wid]
             if spec.worker_delay_factors is not None

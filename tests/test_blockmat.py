@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import random
+import string
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coded_matmul.blockmat import (
+    _BULK_CHARS,
     DimensionError,
     Matrix,
     PartitionScheme,
@@ -341,6 +343,21 @@ def test_matrix_keeps_integer_entries(data) -> None:
     assert Matrix(1, 2, data, F7).data.tolist() == [[3, 4]]
 
 
+@pytest.mark.parametrize(
+    "source",
+    [lambda x: x, lambda x: x.reshape(2, 2), memoryview],
+    ids=["array", "writable-view", "memoryview"],
+)
+def test_matrix_owns_its_entries(source) -> None:
+    # The caller's buffer stays writable, so a write to it after the
+    # matrix is built must not reach the matrix.
+    x = np.arange(4)
+    m = Matrix(2, 2, source(x), F7)
+    x[0] = 99
+    assert m.data.tolist() == [[0, 1], [2, 3]]
+    assert not m.data.flags.writeable
+
+
 @pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0)])
 def test_matrix_rejects_zero_dimensions(shape) -> None:
     with pytest.raises(ShapeError, match="dimensions must be >= 1"):
@@ -427,3 +444,8 @@ def test_matrix_file_decimal_never_reaches_bulk_parse(tmp_path, monkeypatch, row
     with pytest.raises(ValueError, match=f":2: non-integer entry in '{row}'"):
         read_matrix(bad)
     assert seen == [["3 1"]]
+
+
+def test_bulk_chars_are_ascii_digits_signs_and_whitespace() -> None:
+    # Written out as bytes so that blockmat need not import `string`.
+    assert sorted(_BULK_CHARS) == sorted((string.digits + "+-" + string.whitespace).encode())
