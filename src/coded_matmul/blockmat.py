@@ -256,7 +256,7 @@ def read_matrix(path: str | Path) -> Matrix:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     header = lines[0][1]

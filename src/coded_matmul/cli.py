@@ -30,12 +30,9 @@ from .blockmat import (
 )
 from .ffield import PrimeModulus
 from .optimizer import render_tradeoff_csv, tradeoff_curve
-from .overheads import compute_overheads
 from .runtime import InjectedDelay, JobFailed, JobSpec, render_trace_csv, run_job
-from .schemes import FieldTooSmall, SchemeKind, recovery_threshold
+from .schemes import FieldTooSmall, SchemeKind, compute_overheads, recovery_threshold
 from .straggler_sim import SimTemplate, estimate_mean_latency
-
-_ALL_KINDS = [SchemeKind.EPC, SchemeKind.BI0, SchemeKind.BI2, SchemeKind.TRI]
 
 OVERHEADS_CSV_HEADER = "scheme,p0,p1,p2,K,R_th,R0,R1,delta,delta_u0,delta_u1,delta_d"
 
@@ -95,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    kinds = [k.value for k in _ALL_KINDS]
+    kinds = [k.value for k in SchemeKind]
 
     p_over = sub.add_parser("overheads", help="exact overhead table for a partition")
     _add_partition_flags(p_over, kinds + ["all"])
@@ -164,7 +161,7 @@ def _partition(args) -> PartitionScheme:
 
 def _parse_kind_list(text: str) -> list[SchemeKind]:
     if text.strip() == "all":
-        return list(_ALL_KINDS)
+        return list(SchemeKind)
     try:
         return [SchemeKind.parse(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
@@ -206,7 +203,7 @@ def _render_rows(rows: list[dict], fmt: str) -> str:
 
 def _cmd_overheads(args) -> int:
     p = _partition(args)
-    kinds = _ALL_KINDS if args.scheme == "all" else [SchemeKind.parse(args.scheme)]
+    kinds = list(SchemeKind) if args.scheme == "all" else [SchemeKind.parse(args.scheme)]
     rows = [_overhead_row(k, p) for k in kinds]
     sys.stdout.write(_render_rows(rows, args.format))
     return 0
@@ -328,15 +325,10 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except _UsageError as err:
+    except (_UsageError, JobFailed, ValueError, OSError) as err:
+        # FieldTooSmall is a ValueError, so its exit code goes by type
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (FieldTooSmall, JobFailed) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, (FieldTooSmall, JobFailed)) else 1
 
 
 if __name__ == "__main__":

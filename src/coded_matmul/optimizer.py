@@ -9,10 +9,9 @@ floor(budget) + 1 is infeasible and the cap is derived.
 
 A sweep is one array pass per kind.  The box of its largest budget, the
 same for every kind, is enumerated once as flat int64 arrays in
-lexicographic order, on which `recovery_threshold` and `upload_counts`
-evaluate unchanged.  Over the common denominator K the overheads are
-R0 p2 / K - 1, R1 p0 / K - 1 and R_th p1 / K - 1, so with
-top = max(R0 p2, R1 p0, R_th p1) a point fits budget num/den exactly when
+lexicographic order, on which `schemes.overhead_loads` evaluates unchanged.
+It gives each overhead as a load over K, so with top the largest of the
+three budgeted loads a point fits budget num/den exactly when
 top <= floor((num + den) K / den).  That floor is taken on Python ints, once
 per distinct K and budget, and clipped into int64, so one broadcast
 comparison buckets every point by the smallest budget it fits, exact for
@@ -41,8 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .blockmat import PartitionScheme
-from .overheads import OverheadReport, compute_overheads
-from .schemes import SchemeKind, recovery_threshold, upload_counts
+from .schemes import OverheadReport, SchemeKind, compute_overheads, overhead_loads
 from .straggler_sim import SimTemplate, completion_table, summarize
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -75,8 +73,8 @@ def _box(
 ) -> SimpleNamespace:
     """Every point of the box of the largest of the ascending `levels`, in
     lexicographic order, one array entry per point: p0, p1, p2 and K, and
-    `limit[i, j]`, the largest binding count point i may have at levels[j].
-    The `_CODES` formulas read the namespace as a partition."""
+    `limit[i, j]`, the largest budgeted load point i may have at levels[j].
+    `overhead_loads` reads the namespace as a partition."""
     if min(p0_cap, p2_cap) < 1:
         raise ValueError("partition caps must be >= 1")
     p1_cap = 1 if force_p1_single else max(math.floor(levels[-1]) + 1, 0)
@@ -99,8 +97,8 @@ def _feasible(
     """The box points that fit the largest level, in lexicographic order:
     their indices, their R_th and their bucket, the index of the smallest
     level each one fits."""
-    (r0, r1), rth = upload_counts(kind, box), recovery_threshold(kind, box)
-    top = np.maximum.reduce([r0 * box.p2, r1 * box.p0, rth * box.p1])
+    rth, *budgeted = overhead_loads(kind, box)
+    top = np.maximum.reduce(budgeted)
     bucket = (top[:, None] > box.limit).sum(axis=1)
     (idx,) = np.nonzero(bucket < box.limit.shape[1])
     return idx, rth[idx], bucket[idx]

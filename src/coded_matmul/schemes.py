@@ -30,6 +30,19 @@ A `Matrix` enters only as the input that `encode_shares` partitions and
 leaves only as the product that `decode_product` assembles.  Between them,
 shares and task result blocks are plain field arrays, which the encoder
 and the kernel produce already reduced, so nothing checks them again.
+
+The cost model reads the same table.  A job's overheads are ratios against
+one uncoded server doing the same job, minus one, all exact `Fraction`s
+over the common denominator K = p0 p1 p2:
+
+* delta    — extra blockwise products: R_th / K - 1.
+* delta_u0 — extra upload of the left factor: R0 / (p0 p1) - 1 = R0 p2 / K - 1.
+* delta_u1 — extra upload of the right factor: R1 / (p1 p2) - 1 = R1 p0 / K - 1.
+* delta_d  — extra download of result blocks: R_th / (p0 p2) - 1 = R_th p1 / K - 1,
+             identically (p1 - 1) + p1 * delta.
+
+`overhead_loads` writes out the four numerators over K; `compute_overheads`
+and the optimizer's budget test both read them from there.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -164,6 +178,45 @@ def upload_counts(kind: SchemeKind, p: PartitionScheme) -> tuple[int, int]:
     sizes = code.sizes(p)
     in0, in1 = code.input_axes
     return math.prod([sizes[a] for a in in0]), math.prod([sizes[a] for a in in1])
+
+
+def overhead_loads(kind: SchemeKind, p: PartitionScheme) -> tuple:
+    """The coded job's work, left upload, right upload and download, each as
+    a numerator over K: R_th, R0 p2, R1 p0 and R_th p1.  Like the counts, it
+    runs unchanged on a partition or on arrays of p0, p1 and p2."""
+    (r0, r1), rth = upload_counts(kind, p), recovery_threshold(kind, p)
+    return rth, r0 * p.p2, r1 * p.p0, rth * p.p1
+
+
+@dataclass(frozen=True)
+class OverheadReport:
+    kind: SchemeKind
+    p: PartitionScheme
+    R_th: int
+    R0: int
+    R1: int
+    delta: Fraction
+    delta_u0: Fraction
+    delta_u1: Fraction
+    delta_d: Fraction
+
+
+def compute_overheads(kind: SchemeKind, p: PartitionScheme) -> OverheadReport:
+    """Each overhead as the exact `Fraction` (load - K) / K; the share
+    counts are the upload loads over p2 and p0."""
+    k = p.K
+    rth, u0, u1, d = overhead_loads(kind, p)
+    return OverheadReport(
+        kind=kind,
+        p=p,
+        R_th=rth,
+        R0=u0 // p.p2,
+        R1=u1 // p.p0,
+        delta=Fraction(rth - k, k),
+        delta_u0=Fraction(u0 - k, k),
+        delta_u1=Fraction(u1 - k, k),
+        delta_d=Fraction(d - k, k),
+    )
 
 
 def project_point(kind: SchemeKind, input_id: int, point: tuple[int, ...]) -> tuple[int, ...]:

@@ -16,11 +16,11 @@ from fractions import Fraction
 from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.optimizer import feasible_partitions, tradeoff_curve
-from coded_matmul.overheads import compute_overheads
 from coded_matmul.runtime import InjectedDelay, JobSpec, run_job
 from coded_matmul.schemes import (
     SchemeKind,
     TaskResult,
+    compute_overheads,
     decode_product,
     encode_shares,
     recovery_threshold,

@@ -402,6 +402,16 @@ def test_matrix_file_reads_blank_lines_and_int_tokens(tmp_path) -> None:
     assert read_matrix(path).data.tolist() == [[10, 1], [7, 3]]
 
 
+@pytest.mark.parametrize("sep", ["\x0c", "\x0b"], ids=["form-feed", "vertical-tab"])
+@pytest.mark.parametrize("row, values", [("3{}4", [3, 4]), ("1_0{}4", [10, 4])],
+                         ids=["bulk", "per-line"])
+def test_matrix_file_splits_tokens_at_any_whitespace(tmp_path, sep, row, values) -> None:
+    # Only "\n" ends a line; both parsers read \x0b and \x0c as separators.
+    path = tmp_path / "m.mat"
+    path.write_text(f"1 2 11\n{row.format(sep)}\n")
+    assert read_matrix(path).data.tolist() == [values]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -413,9 +423,10 @@ def test_matrix_file_reads_blank_lines_and_int_tokens(tmp_path) -> None:
         ("1 2 7\n1_0 1\n", "2: value 10 outside [0, 7)"),
         ("1 2 7\n2.5 1\n", "2: non-integer entry in '2.5 1'"),
         ("1 2 7\n1e3 1\n", "2: non-integer entry in '1e3 1'"),
+        ("2 2 7\n1 2\x0c\n3 x\n", "3: non-integer entry in '3 x'"),
     ],
     ids=["non-integer", "short-middle-row", "equals-q", "minus-one", "2^63", "underscore",
-         "decimal", "exponent"],
+         "decimal", "exponent", "form-feed-ends-no-line"],
 )
 def test_matrix_file_error_names_physical_line(tmp_path, text, message) -> None:
     path = tmp_path / "bad.mat"

@@ -1,7 +1,7 @@
 """Budget-constrained partition search tests.
 
 The feasibility oracle here re-derives each scheme's overheads from the
-closed forms (written out per kind, independent of the overheads module)
+closed forms (written out per kind, independent of `schemes.overhead_loads`)
 and filters the search box directly; the library's feasible set must match
 it exactly.  The sweep's rows are checked against a brute-force search of
 each cell alone: the oracle's feasible set, each candidate simulated by
@@ -31,8 +31,7 @@ from coded_matmul.optimizer import (
     render_tradeoff_csv,
     tradeoff_curve,
 )
-from coded_matmul.overheads import compute_overheads
-from coded_matmul.schemes import SchemeKind, recovery_threshold
+from coded_matmul.schemes import SchemeKind, compute_overheads, recovery_threshold
 from coded_matmul.straggler_sim import estimate_mean_latency
 
 ALL_KINDS = list(SchemeKind)

@@ -8,10 +8,12 @@ the task and share counts alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
 
 from coded_matmul.blockmat import PartitionScheme
-from coded_matmul.overheads import OverheadReport, compute_overheads
-from coded_matmul.schemes import SchemeKind
+from coded_matmul.schemes import OverheadReport, SchemeKind, compute_overheads, overhead_loads
 
 ALL_KINDS = list(SchemeKind)
 
@@ -157,3 +159,16 @@ def test_report_carries_inputs() -> None:
     assert isinstance(r, OverheadReport)
     assert r.kind is SchemeKind.BI0
     assert r.p == p
+
+
+def test_loads_on_arrays_match_each_partition() -> None:
+    # The optimizer reads the loads off arrays of the whole box at once.
+    parts = list(all_partitions(4))
+    box = SimpleNamespace(**{a: np.array([getattr(p, a) for p in parts]) for a in ("p0", "p1", "p2")})
+    for kind in ALL_KINDS:
+        columns = overhead_loads(kind, box)
+        for i, p in enumerate(parts):
+            r = compute_overheads(kind, p)
+            loads = (r.R_th, r.R0 * p.p2, r.R1 * p.p0, r.R_th * p.p1)
+            assert overhead_loads(kind, p) == loads
+            assert tuple(int(c[i]) for c in columns) == loads
