@@ -30,8 +30,15 @@ from .blockmat import (
 )
 from .ffield import PrimeModulus
 from .optimizer import render_tradeoff_csv, tradeoff_curve
-from .runtime import InjectedDelay, JobFailed, JobSpec, render_trace_csv, run_job
-from .schemes import FieldTooSmall, SchemeKind, compute_overheads, recovery_threshold
+from .runtime import InjectedDelay, JobFailed, JobSpec, JobTrace, render_trace_csv, run_job
+from .schemes import (
+    FieldTooSmall,
+    SchemeKind,
+    compute_overheads,
+    recovery_threshold,
+    render_csv,
+    report_columns,
+)
 from .straggler_sim import SimTemplate, estimate_mean_latency
 
 OVERHEADS_CSV_HEADER = "scheme,p0,p1,p2,K,R_th,R0,R1,delta,delta_u0,delta_u1,delta_d"
@@ -48,32 +55,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(name: str, parse: type, low: int, strict: bool = False):
+    """An argparse type: text `parse`d to a finite number at least `low`, or
+    above it when `strict`.  argparse names `name` when `parse` refuses."""
+    rule = f"{'>' if strict else '>='} {low}" + (" and finite" if parse is float else "")
+
+    def convert(text: str):
+        value = parse(text)
+        if not (low < value if strict else low <= value) or not value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    convert.__name__ = name
+    return convert
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
-    return value
+_positive_int = _bounded("_positive_int", int, 1)
+_nonneg_int = _bounded("_nonneg_int", int, 0)
+_nonneg_float = _bounded("_nonneg_float", float, 0)
+_positive_float = _bounded("_positive_float", float, 0, strict=True)
 
 
 def _add_partition_flags(sub, scheme_choices) -> None:
@@ -81,6 +81,21 @@ def _add_partition_flags(sub, scheme_choices) -> None:
     sub.add_argument("--p0", required=True, type=_positive_int)
     sub.add_argument("--p1", required=True, type=_positive_int)
     sub.add_argument("--p2", required=True, type=_positive_int)
+
+
+def _add_model_flags(sub) -> None:
+    """The straggler model that `_sim_template` reads."""
+    sub.add_argument("--workers", required=True, type=_positive_int)
+    sub.add_argument("--lambda-inv", required=True, type=_positive_float,
+                     help="mean 1/lambda of the exponential tail")
+    sub.add_argument("--t0", required=True, type=_nonneg_float)
+    sub.add_argument("--trials", type=_positive_int, default=1000)
+    sub.add_argument("--seed", type=_nonneg_int, default=0)
+
+
+def _add_matrix_flags(sub) -> None:
+    sub.add_argument("--a", required=True, help="left matrix file")
+    sub.add_argument("--b", required=True, help="right matrix file")
 
 
 @functools.cache
@@ -101,8 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mul = sub.add_parser("multiply", help="encode, compute, decode one product")
     _add_partition_flags(p_mul, kinds)
-    p_mul.add_argument("--a", required=True, help="left matrix file")
-    p_mul.add_argument("--b", required=True, help="right matrix file")
+    _add_matrix_flags(p_mul)
     p_mul.add_argument("--q", type=int, help="override modulus (values reduced mod q)")
     p_mul.add_argument("--out", help="write product here instead of stdout")
     p_mul.add_argument("--verify", action="store_true",
@@ -111,12 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo straggler latency")
     _add_partition_flags(p_sim, kinds)
-    p_sim.add_argument("--workers", required=True, type=_positive_int)
-    p_sim.add_argument("--lambda-inv", required=True, type=_positive_float,
-                       help="mean 1/lambda of the exponential tail")
-    p_sim.add_argument("--t0", required=True, type=_nonneg_float)
-    p_sim.add_argument("--trials", type=_positive_int, default=1000)
-    p_sim.add_argument("--seed", type=_nonneg_int, default=0)
+    _add_model_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_tr = sub.add_parser("tradeoff", help="budget-constrained search, CSV out")
@@ -124,13 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated list (or 'all')")
     p_tr.add_argument("--budgets", required=True,
                       help="comma-separated overhead budgets")
-    p_tr.add_argument("--workers", required=True, type=_positive_int)
-    p_tr.add_argument("--lambda-inv", required=True, type=_positive_float)
-    p_tr.add_argument("--t0", required=True, type=_nonneg_float)
+    _add_model_flags(p_tr)
     p_tr.add_argument("--p0-cap", required=True, type=_positive_int)
     p_tr.add_argument("--p2-cap", required=True, type=_positive_int)
-    p_tr.add_argument("--trials", type=_positive_int, default=1000)
-    p_tr.add_argument("--seed", type=_nonneg_int, default=0)
     p_tr.add_argument("--force-p1-1", action="store_true",
                       help="restrict the search to p1 = 1")
     p_tr.add_argument("--out", help="write CSV here instead of stdout")
@@ -139,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="threaded master/worker demo")
     _add_partition_flags(p_run, kinds)
     p_run.add_argument("--workers", required=True, type=_positive_int)
-    p_run.add_argument("--a", required=True)
-    p_run.add_argument("--b", required=True)
+    _add_matrix_flags(p_run)
     p_run.add_argument("--inject-t0", type=_nonneg_float, default=0.0,
                        help="injected per-task base delay, ms")
     p_run.add_argument("--inject-lambda-inv", type=_nonneg_float, default=0.0,
@@ -168,48 +172,37 @@ def _parse_kind_list(text: str) -> list[SchemeKind]:
         raise _UsageError(str(exc)) from exc
 
 
-def _overhead_row(kind: SchemeKind, p: PartitionScheme) -> dict:
-    rep = compute_overheads(kind, p)
-    return {
-        "scheme": kind.value,
-        "p0": p.p0,
-        "p1": p.p1,
-        "p2": p.p2,
-        "K": p.K,
-        "R_th": rep.R_th,
-        "R0": rep.R0,
-        "R1": rep.R1,
-        "delta": float(rep.delta),
-        "delta_u0": float(rep.delta_u0),
-        "delta_u1": float(rep.delta_u1),
-        "delta_d": float(rep.delta_d),
-    }
-
-
 def _render_rows(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
-    header = OVERHEADS_CSV_HEADER.split(",")
-    cells = [[str(row[col]) for col in header] for row in rows]
+    text = render_csv(OVERHEADS_CSV_HEADER, rows)
     if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(c) for c in cells]) + "\n"
-    widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for c in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+        return text
+    cells = [line.split(",") for line in text.splitlines()]  # no value holds a comma
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip() + "\n"
+                   for c in cells)
 
 
 def _cmd_overheads(args) -> int:
     p = _partition(args)
-    kinds = list(SchemeKind) if args.scheme == "all" else [SchemeKind.parse(args.scheme)]
-    rows = [_overhead_row(k, p) for k in kinds]
+    rows = [report_columns(compute_overheads(k, p)) for k in _parse_kind_list(args.scheme)]
     sys.stdout.write(_render_rows(rows, args.format))
     return 0
 
 
-def _load_pair(args) -> tuple[Matrix, Matrix]:
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _run_files(args, **spec) -> tuple[Matrix, Matrix, Matrix, JobTrace]:
+    """Load the two matrix files and run the coded job on them: the inputs,
+    the decoded product and the trace."""
     a = read_matrix(args.a)
     b = read_matrix(args.b)
     if getattr(args, "q", None) is not None:
@@ -220,16 +213,22 @@ def _load_pair(args) -> tuple[Matrix, Matrix]:
         raise _UsageError(
             f"moduli differ ({a.modulus.q} vs {b.modulus.q}); pass --q to override"
         )
-    return a, b
+    kind = SchemeKind.parse(args.scheme)
+    return a, b, *run_job(JobSpec(kind, _partition(args), a, b, **spec))
+
+
+def _verified(a: Matrix, b: Matrix, product: Matrix, what: str) -> bool:
+    """Whether the product equals the direct one; if not, says so on stderr."""
+    ok = product == matrix_multiply(a, b)
+    if not ok:
+        print(f"verification failed: {what} product differs from direct product",
+              file=sys.stderr)
+    return ok
 
 
 def _cmd_multiply(args) -> int:
-    a, b = _load_pair(args)
-    kind = SchemeKind.parse(args.scheme)
-    product, _ = run_job(JobSpec(kind, _partition(args), a, b, workers=1))
-    if args.verify and product != matrix_multiply(a, b):
-        print("verification failed: decoded product differs from direct product",
-              file=sys.stderr)
+    a, b, product, _ = _run_files(args, workers=1)
+    if args.verify and not _verified(a, b, product, "decoded"):
         return 2
     if args.out:
         write_matrix(product, args.out)
@@ -276,42 +275,22 @@ def _cmd_tradeoff(args) -> int:
         sim=_sim_template(args),
         force_p1_single=args.force_p1_1,
     )
-    text = render_tradeoff_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(render_tradeoff_csv(rows), args.out)
     return 0
 
 
 def _cmd_run(args) -> int:
-    a, b = _load_pair(args)
-    kind = SchemeKind.parse(args.scheme)
-    spec = JobSpec(
-        kind=kind,
-        p=_partition(args),
-        M0=a,
-        M1=b,
-        workers=args.workers,
-        delay=InjectedDelay(t0_ms=args.inject_t0, lam_inv_ms=args.inject_lambda_inv),
-        seed=args.seed,
-    )
-    product, trace = run_job(spec)
+    delay = InjectedDelay(t0_ms=args.inject_t0, lam_inv_ms=args.inject_lambda_inv)
+    a, b, product, trace = _run_files(args, workers=args.workers, delay=delay, seed=args.seed)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(render_trace_csv(trace))
-    ok = product == matrix_multiply(a, b)
-    print(f"scheme {kind.value}")
+        _emit(render_trace_csv(trace), args.trace)
+    ok = _verified(a, b, product, "runtime")
+    print(f"scheme {trace.kind.value}")
     print(f"tasks {len(trace.records)}")
     print(f"workers {args.workers}")
     print(f"total_ms {trace.total_ms:.3f}")
     print(f"verified {'true' if ok else 'false'}")
-    if not ok:
-        print("verification failed: runtime product differs from direct product",
-              file=sys.stderr)
-        return 2
-    return 0
+    return 0 if ok else 2
 
 
 def main(argv=None) -> int:

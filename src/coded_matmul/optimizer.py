@@ -40,8 +40,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from .blockmat import PartitionScheme
-from .schemes import OverheadReport, SchemeKind, compute_overheads, overhead_loads
-from .straggler_sim import SimTemplate, completion_table, summarize
+from .schemes import (
+    OverheadReport,
+    SchemeKind,
+    compute_overheads,
+    overhead_loads,
+    render_csv,
+    report_columns,
+)
+from .straggler_sim import SimTemplate, check_array_bytes, completion_table, summarize
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -74,10 +81,13 @@ def _box(
     """Every point of the box of the largest of the ascending `levels`, in
     lexicographic order, one array entry per point: p0, p1, p2 and K, and
     `limit[i, j]`, the largest budgeted load point i may have at levels[j].
-    `overhead_loads` reads the namespace as a partition."""
+    `overhead_loads` reads the namespace as a partition.  With `_feasible`,
+    a point holds at least 80 bytes plus 8 per level at the peak."""
     if min(p0_cap, p2_cap) < 1:
         raise ValueError("partition caps must be >= 1")
     p1_cap = 1 if force_p1_single else max(math.floor(levels[-1]) + 1, 0)
+    points = p0_cap * p1_cap * p2_cap
+    check_array_bytes(points * (80 + 8 * len(levels)), f"the box of {points} partitions")
     axes = (np.arange(1, cap + 1, dtype=np.int64) for cap in (p0_cap, p1_cap, p2_cap))
     p0, p1, p2 = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
     k = p0 * p1 * p2
@@ -142,6 +152,8 @@ def tradeoff_curve(
     levels = sorted(set(cells))
     box = _box(levels, p0_cap, p2_cap, force_p1_single)
     found = [_feasible(kind, box) for kind in kinds]
+    most = max(len(idx) for idx, _, _ in found)
+    check_array_bytes(16 * most * sim.trials, f"{most} candidates over {sim.trials} trials")
     ranks = sorted(set(np.concatenate([rth for _, rth, _ in found]).tolist()))
     table = completion_table(sim, ranks).T if ranks else np.empty((0, sim.trials))
     rows = []
@@ -177,30 +189,11 @@ TRADEOFF_CSV_HEADER = (
 def render_tradeoff_csv(rows: list[TradeoffRow]) -> str:
     """Stable text form of the trade-off table; identical rows give
     identical bytes."""
-    lines = [TRADEOFF_CSV_HEADER]
+    table = []
     for row in rows:
-        if not row.feasible:
-            lines.append(f"{row.kind.value},{float(row.budget)!r},,,,,,,,,,,,false")
-            continue
-        p, r = row.p, row.report
-        lines.append(
-            ",".join(
-                [
-                    row.kind.value,
-                    repr(float(row.budget)),
-                    str(p.p0),
-                    str(p.p1),
-                    str(p.p2),
-                    str(p.K),
-                    str(r.R_th),
-                    repr(float(r.delta)),
-                    repr(float(r.delta_u0)),
-                    repr(float(r.delta_u1)),
-                    repr(float(r.delta_d)),
-                    repr(row.mean_latency),
-                    repr(row.stderr),
-                    "true",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        cols = {"scheme": row.kind.value, "budget": float(row.budget)}
+        if row.feasible:
+            cols |= report_columns(row.report) | {"mean_latency": row.mean_latency,
+                                                  "stderr": row.stderr}
+        table.append(cols | {"feasible": str(row.feasible).lower()})
+    return render_csv(TRADEOFF_CSV_HEADER, table)

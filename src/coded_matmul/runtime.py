@@ -34,12 +34,11 @@ import math
 import queue
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import DimensionError, Matrix, PartitionScheme, modmatmul
+from .blockmat import DimensionError, Matrix, PartitionScheme, modmatmul, partition_matrix
 from .schemes import (
     SchemeKind,
     TaskResult,
@@ -48,6 +47,7 @@ from .schemes import (
     encode_shares,
     evaluation_grid,
     project_point,
+    render_csv,
 )
 
 
@@ -119,7 +119,6 @@ class JobTrace:
     mode: str
     records: list[TaskRecord]
     total_ms: float
-    per_worker_counts: dict[int, int]
     encode_counts: tuple[int, int] = field(default=(0, 0))
 
 
@@ -140,6 +139,9 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
             f"cannot multiply {spec.M0.rows}x{spec.M0.cols} by {spec.M1.rows}x{spec.M1.cols}"
         )
     kind, p, modulus = spec.kind, spec.p, spec.M0.modulus
+    # Refuse an indivisible input before the grid, which holds R_th points.
+    partition_matrix(spec.M0, p.p0, p.p1)
+    partition_matrix(spec.M1, p.p1, p.p2)
     points = evaluation_grid(kind, p, modulus)
 
     def task_shares(input_id: int, m: Matrix) -> tuple[list[np.ndarray], int]:
@@ -231,13 +233,11 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         t.join()
 
     records.sort(key=lambda r: r.task_id)
-    done = Counter(r.worker for r in records)
     trace = JobTrace(
         kind=kind,
         mode=spec.mode,
         records=records,
         total_ms=total_ms,
-        per_worker_counts={wid: done[wid] for wid in range(spec.workers)},
         encode_counts=(encoded0, encoded1),
     )
     if len(results) < len(tasks):
@@ -247,20 +247,10 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
 
 
 def render_trace_csv(trace: JobTrace) -> str:
-    """Trace as `task_id,x,y,z,worker,start_ms,end_ms`; absent axes blank."""
+    """The trace as CSV, one row per task; axes the scheme lacks stay blank."""
     names = axis_names(trace.kind)
-    lines = ["task_id,x,y,z,worker,start_ms,end_ms"]
-    for r in trace.records:
-        coords = dict(zip(names, r.point))
-        lines.append(
-            ",".join(
-                [
-                    str(r.task_id),
-                    *(str(coords.get(ax, "")) for ax in ("x", "y", "z")),
-                    str(r.worker),
-                    f"{r.start_ms:.3f}",
-                    f"{r.end_ms:.3f}",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return render_csv("task_id,x,y,z,worker,start_ms,end_ms", [
+        {"task_id": r.task_id, **dict(zip(names, r.point)), "worker": r.worker,
+         "start_ms": f"{r.start_ms:.3f}", "end_ms": f"{r.end_ms:.3f}"}
+        for r in trace.records
+    ])

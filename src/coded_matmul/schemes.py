@@ -219,6 +219,23 @@ def compute_overheads(kind: SchemeKind, p: PartitionScheme) -> OverheadReport:
     )
 
 
+def report_columns(rep: OverheadReport) -> dict:
+    """A report as output columns, in `coded-matmul overheads` order, each
+    overhead as a float."""
+    p = rep.p
+    deltas = ("delta", "delta_u0", "delta_u1", "delta_d")
+    return {"scheme": rep.kind.value, "p0": p.p0, "p1": p.p1, "p2": p.p2, "K": p.K,
+            "R_th": rep.R_th, "R0": rep.R0, "R1": rep.R1,
+            **{name: float(getattr(rep, name)) for name in deltas}}
+
+
+def render_csv(header: str, rows: list[dict]) -> str:
+    """The header line, then each row's values in the header's column order,
+    blank where a row has no such column."""
+    cols = header.split(",")
+    return "\n".join([header, *(",".join(str(r.get(c, "")) for c in cols) for r in rows)]) + "\n"
+
+
 def project_point(kind: SchemeKind, input_id: int, point: tuple[int, ...]) -> tuple[int, ...]:
     """Coordinates of a full task point that the given input's share uses."""
     code = _CODES[kind]

@@ -24,6 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The most bytes of arrays a simulation or sweep may be estimated to need.
+# An estimate counts entries on Python ints, times the bytes per entry that
+# tracemalloc measured at the peak, rounded down: a refused job would not
+# fit in 8 GiB anyway.
+MAX_ARRAY_BYTES = 8 * 2**30
+
+
+def check_array_bytes(nbytes: int, what: str) -> None:
+    """Refuse, before it is allocated, an array estimated above the bound."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValueError(f"{what} would need about {nbytes} bytes of arrays, "
+                         f"above the bound of {MAX_ARRAY_BYTES}")
+
 
 @dataclass(frozen=True)
 class SimTemplate:
@@ -79,8 +92,13 @@ def pooled_completions(
 
 def completion_table(sim: SimTemplate, ranks: list[int]) -> np.ndarray:
     """Row i, column j: trial i's ranks[j]-th pooled completion at K = 1.
-    Trial i draws from PCG64(SeedSequence((seed, i))), up to the largest rank."""
-    R, cols, out = max(ranks), np.asarray(ranks) - 1, np.empty((sim.trials, len(ranks)))
+    Trial i draws from PCG64(SeedSequence((seed, i))), up to the largest rank:
+    at least `depth` completions per worker, 16 bytes each at the peak."""
+    R = max(ranks)
+    depth = max(4, -(-R // sim.N))
+    check_array_bytes(16 * sim.N * depth + 8 * sim.trials * len(ranks),
+                      f"a {sim.trials}-trial table to rank {R} over {sim.N} workers")
+    cols, out = np.asarray(ranks) - 1, np.empty((sim.trials, len(ranks)))
     for i in range(sim.trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((sim.seed, i))))
         out[i] = pooled_completions(sim.N, R, sim.T0, sim.lam, rng)[cols]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import coded_matmul.cli as cli
+from coded_matmul import runtime, straggler_sim
 from coded_matmul.blockmat import Matrix, matrix_multiply, read_matrix, write_matrix
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.optimizer import TRADEOFF_CSV_HEADER
@@ -21,6 +22,10 @@ def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached an allocation the program must refuse first")
 
 
 def write_pair(tmp_path, rows=6, inner=6, cols=6, q=F_BIG, seeds=(1, 2)):
@@ -302,7 +307,43 @@ def test_multiply_field_too_small_exits_two(capsys, tmp_path):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "kind, p, q",
+    [("tri", (1000, 2, 1000), F_BIG), ("epc", (3, 3, 3), PrimeModulus(13))],
+)
+def test_multiply_indivisible_partition_exits_one_before_the_grid(
+    capsys, tmp_path, monkeypatch, kind, p, q
+):
+    # Divisibility is checked before the grid is built and before the field
+    # size, so epc (3,3,3) on a 4x4 input over F_13 exits 1, not 2.
+    monkeypatch.setattr(runtime, "evaluation_grid", _never)
+    _, _, pa, pb = write_pair(tmp_path, rows=4, inner=4, cols=4, q=q)
+    rc, out, err = run_cli(
+        capsys, "multiply", "--scheme", kind, "--p0", str(p[0]), "--p1", str(p[1]),
+        "--p2", str(p[2]), "--a", pa, "--b", pb,
+    )
+    assert rc == 1 and out == ""
+    assert err == f"error: 4x4 matrix not divisible into {p[0]}x{p[1]} blocks\n"
+
+
 # -- simulate ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "partition, workers",
+    [(["1", "1", "1"], "1000000000"), (["1000", "1000", "1000"], "300")],
+)
+def test_simulate_past_the_array_bound_exits_one(capsys, monkeypatch, partition, workers):
+    # 10^9 workers, or an epc grid of about 10^9 tasks, would draw 8 GB or more.
+    monkeypatch.setattr(straggler_sim, "pooled_completions", _never)
+    p0, p1, p2 = partition
+    rc, out, err = run_cli(
+        capsys, "simulate", "--scheme", "epc", "--p0", p0, "--p1", p1, "--p2", p2,
+        "--workers", workers, "--lambda-inv", "1", "--t0", "1",
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
+    assert f"above the bound of {straggler_sim.MAX_ARRAY_BYTES}" in err
 
 
 def test_simulate_output_and_anchor(capsys):

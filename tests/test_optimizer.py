@@ -384,3 +384,25 @@ def test_sweep_draws_one_completion_table(monkeypatch, budgets, calls: int) -> N
             ALL_KINDS, budgets, p0_cap=3, p2_cap=3, sim=SIM, force_p1_single=force_p1_single
         )
         assert len(drawn) == calls
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("allocated past the bound")
+
+
+@pytest.mark.parametrize(
+    "budgets, caps, force",
+    [([10**9], 6, False), ([1, 2, 10**6], 10**3, False), ([1], 10**6, True)],
+)
+def test_oversized_box_refused_before_enumerating(monkeypatch, budgets, caps, force) -> None:
+    monkeypatch.setattr(optimizer.np, "meshgrid", _never)
+    with pytest.raises(ValueError, match=r"the box of \d+ partitions .* above the bound"):
+        tradeoff_curve(ALL_KINDS, budgets, p0_cap=caps, p2_cap=caps, sim=SIM,
+                       force_p1_single=force)
+
+
+def test_oversized_scoring_refused_before_drawing(monkeypatch) -> None:
+    monkeypatch.setattr(optimizer, "completion_table", _never)
+    sim = SimTemplate(N=50, T0=1.0, lam=0.1, trials=10**12, seed=0)
+    with pytest.raises(ValueError, match=r"candidates over \d+ trials .* above the bound"):
+        tradeoff_curve(ALL_KINDS, [1], p0_cap=2, p2_cap=2, sim=sim)

@@ -12,12 +12,14 @@ import math
 import random
 import statistics
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import coded_matmul.runtime as rt
 from coded_matmul import schemes
-from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply
+from coded_matmul.blockmat import DimensionError, Matrix, PartitionScheme, matrix_multiply
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.runtime import (
     InjectedDelay,
@@ -72,7 +74,7 @@ def test_single_worker_serial() -> None:
     spec = make_spec(SchemeKind.TRI, workers=1)
     out, trace = run_job(spec)
     assert out == matrix_multiply(spec.M0, spec.M1)
-    assert set(trace.per_worker_counts) == {0}
+    assert {r.worker for r in trace.records} == {0}
 
 
 def test_trace_completeness() -> None:
@@ -82,7 +84,7 @@ def test_trace_completeness() -> None:
     assert len(trace.records) == rth
     assert sorted(r.task_id for r in trace.records) == list(range(rth))
     assert len({r.point for r in trace.records}) == rth
-    assert sum(trace.per_worker_counts.values()) == rth
+    assert all(0 <= r.worker < spec.workers for r in trace.records)
     for r in trace.records:
         assert r.end_ms >= r.start_ms >= 0.0
     assert trace.total_ms >= max(r.end_ms for r in trace.records) - 1e-6
@@ -181,8 +183,6 @@ def test_delay_floor_visible_in_trace() -> None:
 
 
 def test_worker_failure_raises_job_failed(monkeypatch) -> None:
-    import coded_matmul.runtime as rt
-
     real = rt.modmatmul
     calls = {"n": 0}
 
@@ -203,8 +203,6 @@ def test_worker_failure_raises_job_failed(monkeypatch) -> None:
 
 @pytest.mark.parametrize("mode", ["dynamic", "static"])
 def test_threads_capped_at_task_count(monkeypatch, mode: str) -> None:
-    import coded_matmul.runtime as rt
-
     started = []
 
     class CountingThread(threading.Thread):
@@ -226,15 +224,12 @@ def test_threads_capped_at_task_count(monkeypatch, mode: str) -> None:
         out, trace = run_job(spec)
         assert out == matrix_multiply(spec.M0, spec.M1)
         assert 1 <= len(started) <= len(trace.records), kind
-        assert set(trace.per_worker_counts) == set(range(64))
-        assert sum(trace.per_worker_counts.values()) == len(trace.records)
+        assert {r.worker for r in trace.records} <= set(range(64))
 
 
 def test_every_task_failing_with_surplus_workers_raises(monkeypatch) -> None:
     # 64 workers, 12 tasks: the coordinator must stop waiting once the
     # threads it started have exited, not wait for 64 exits.
-    import coded_matmul.runtime as rt
-
     def broken(a, b, q):
         raise RuntimeError("worker blew up")
 
@@ -259,8 +254,6 @@ def test_every_task_failing_with_surplus_workers_raises(monkeypatch) -> None:
 def test_worker_killed_by_base_exception_fails_the_job(monkeypatch, workers: int) -> None:
     # SystemExit is not an Exception, so it ends the worker thread instead
     # of failing one task; the coordinator must still see that thread exit.
-    import coded_matmul.runtime as rt
-
     real = rt.modmatmul
     lock = threading.Lock()
     calls = {"n": 0}
@@ -351,6 +344,33 @@ def test_validation() -> None:
                 M1=random_matrix(8, 8, PrimeModulus(101), seed=5),
             )
         )
+
+
+@pytest.mark.parametrize("p", [(1000, 2, 1000), (3, 1, 1), (1, 3, 1), (1, 1, 3)])
+def test_indivisible_partition_refused_before_the_grid(monkeypatch, p) -> None:
+    # At (1000, 2, 1000) tri's grid would hold 3 million points for a 4x4 input.
+    def never(*args):
+        raise AssertionError("built the grid of an indivisible partition")
+
+    monkeypatch.setattr(rt, "evaluation_grid", never)
+    spec = make_spec(SchemeKind.TRI, p=PartitionScheme(*p), M0=random_matrix(4, 4, FBIG, 1),
+                     M1=random_matrix(4, 4, FBIG, 2))
+    with pytest.raises(DimensionError, match="not divisible"):
+        run_job(spec)
+
+
+def test_idle_workers_cost_no_memory() -> None:
+    # A 12-task job: at most 12 threads start, whatever the worker count.
+    spec = make_spec(SchemeKind.TRI, M0=random_matrix(4, 4, FBIG, 1),
+                     M1=random_matrix(4, 4, FBIG, 2), workers=10**6)
+    tracemalloc.start()
+    try:
+        out, _ = run_job(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == matrix_multiply(spec.M0, spec.M1)
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])

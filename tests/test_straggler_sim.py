@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from coded_matmul import straggler_sim
 from coded_matmul.straggler_sim import (
     LatencyEstimate,
     SimTemplate,
@@ -215,6 +216,21 @@ def test_single_trial_stderr_zero() -> None:
     assert est.trials == 1
 
 
+@pytest.mark.parametrize(
+    "N, ranks, trials",
+    [(10**9, [1], 10), (300, [10**9 + 999], 10), (1, [10**10], 1), (16, [27], 10**12)],
+)
+def test_oversized_table_refused_before_drawing(monkeypatch, N, ranks, trials) -> None:
+    def never(*args, **kwargs):
+        raise AssertionError("allocated past the bound")
+
+    monkeypatch.setattr(straggler_sim, "pooled_completions", never)
+    monkeypatch.setattr(np, "empty", never)
+    sim = SimTemplate(N=N, T0=1.0, lam=0.1, trials=trials, seed=0)
+    with pytest.raises(ValueError, match="above the bound"):
+        completion_table(sim, ranks)
+
+
 @pytest.mark.parametrize("trials", [1, 2, 20, 1000])
 def test_summarize_rows_equal_summarize_each_row(trials: int) -> None:
     # A sweep scores all its candidates in one call; each row's estimate
@@ -233,3 +249,64 @@ def test_summarize_rows_equal_summarize_each_row(trials: int) -> None:
             float(row.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
         )
         assert est.trials == trials
+
+
+# -- exact oracle for the mean -------------------------------------------------
+
+
+def _truncated_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of polynomials in z, kept below z^R (R columns)."""
+    out = np.zeros_like(a)
+    for j in range(a.shape[1]):
+        out[:, j:] += a[:, j : j + 1] * b[:, : a.shape[1] - j]
+    return out
+
+
+def _prob_pooled_below(N: int, T0: float, lam: float, R: int, t: np.ndarray) -> np.ndarray:
+    """P(S(t) < R) for the pooled completion count S of N workers at K = 1.
+
+    A worker's k-th completion is k T0 plus a Gamma(k, lam) time, so
+    P(C(t) >= k) = P(Poisson(lam (t - k T0)) >= k).  S's distribution below
+    R is the N-th power of C(t)'s generating function, truncated at z^R."""
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, R + 1)))])
+    at_least = np.ones((len(t), R + 1))  # column k: P(C(t) >= k)
+    for k in range(1, R + 1):
+        mu = lam * (t - k * T0)
+        live = mu > 0
+        m = np.where(live, mu, 1.0)[:, None]
+        j = np.arange(k)
+        cdf = np.exp(-m + j * np.log(m) - log_fact[j]).sum(axis=1)
+        at_least[:, k] = np.where(live, np.maximum(1.0 - cdf, 0.0), 0.0)
+    pmf = at_least[:, :-1] - at_least[:, 1:]  # P(C(t) = k), k < R
+    power = np.zeros_like(pmf)
+    power[:, 0] = 1.0
+    base, n = pmf, N
+    while n:
+        if n & 1:
+            power = _truncated_product(power, base)
+        base, n = _truncated_product(base, base), n >> 1
+    return power.sum(axis=1)
+
+
+def _oracle_mean(N: int, T0: float, lam: float, R: int, steps_per_t0: int) -> float:
+    """E[R-th pooled completion] = integral over t >= 0 of P(S(t) < R), by
+    the trapezoid rule on a grid with every k T0 at a node."""
+    span = math.ceil(4 * (R / N + 2) * (1 + 1 / (lam * T0)))  # in units of T0
+    t = np.linspace(0.0, span * T0, span * steps_per_t0 + 1)
+    f = _prob_pooled_below(N, T0, lam, R, t)
+    assert f[-1] < 1e-12, "the grid must reach where the integrand vanishes"
+    return float(np.sum((f[1:] + f[:-1]) / 2 * np.diff(t)))
+
+
+Z_MAX = 4.0  # fixed before running: |z| above it fails
+
+
+@pytest.mark.parametrize("R", [9, 27, 64])
+def test_mean_matches_exact_oracle(R: int) -> None:
+    N, T0, lam = 16, 1.0, 0.1
+    coarse = _oracle_mean(N, T0, lam, R, steps_per_t0=4)
+    fine = _oracle_mean(N, T0, lam, R, steps_per_t0=8)
+    quadrature_err = abs(fine - coarse)  # trapezoid error is O(h^2): this bounds fine's
+    est = estimate_mean_latency(SimTemplate(N=N, T0=T0, lam=lam, trials=1000, seed=0), R, 1)
+    assert quadrature_err < 0.05 * est.stderr
+    assert abs(est.mean - fine) <= Z_MAX * est.stderr + quadrature_err
