@@ -4,19 +4,19 @@
 it with a single worker thread, and `coded-matmul run` with several.
 
 One coordinator thread owns all job state: it encodes each input once, in
-one `encode_shares` call at the distinct projections of the grid's task
-points onto that input's axes (so a share reused across an axis is encoded
-once, and the number of projections IS the upload count), fills a work
-queue, and decodes once every grid task has reported.  Workers are plain
-threads that receive immutable task messages, optionally sleep a sampled
-straggler delay, multiply their two shares, and send the result back.
-Nothing mutable is shared; all communication is via queues.
+one `encode_shares` call that returns its distinct shares over the grid's
+axes (so a share reused across an axis is encoded once, and the array's
+size over the axes IS the upload count), fills a work queue with one task
+per grid index, and decodes once every task has reported.  Workers are
+plain threads that receive immutable task messages, optionally sleep a
+sampled straggler delay, multiply their two shares, and send the result
+back.  Nothing mutable is shared; all communication is via queues.
 
 A `Matrix` appears only at the job's ends: its two inputs and the decoded
-product it returns.  In between the job holds arrays: each task's shares
-are read-only rows of the `encode_shares` arrays, workers multiply them
-with `modmatmul`, and result blocks travel to `decode_product` as they
-came out of the kernel.
+product it returns.  In between the job holds arrays indexed by the grid:
+each task's shares are read-only views of the encoded arrays broadcast to
+the grid, workers multiply them with `modmatmul`, and each result block
+fills its task's slot in the samples array that `decode_product` reads.
 
 Scheduling modes: "dynamic" uses a single shared queue (idle workers pull
 the next undispatched task, so a slow worker naturally takes fewer tasks);
@@ -34,21 +34,12 @@ import math
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blockmat import DimensionError, Matrix, PartitionScheme, modmatmul, partition_matrix
-from .schemes import (
-    SchemeKind,
-    TaskResult,
-    axis_names,
-    decode_product,
-    encode_shares,
-    evaluation_grid,
-    project_point,
-    render_csv,
-)
+from .schemes import SchemeKind, axis_names, decode_product, encode_shares, grid_axes, render_csv
 
 
 class JobFailed(RuntimeError):
@@ -119,7 +110,7 @@ class JobTrace:
     mode: str
     records: list[TaskRecord]
     total_ms: float
-    encode_counts: tuple[int, int] = field(default=(0, 0))
+    encode_counts: tuple[int, int]
 
 
 def _delay_ms(
@@ -139,22 +130,17 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
             f"cannot multiply {spec.M0.rows}x{spec.M0.cols} by {spec.M1.rows}x{spec.M1.cols}"
         )
     kind, p, modulus = spec.kind, spec.p, spec.M0.modulus
-    # Refuse an indivisible input before the grid, which holds R_th points.
+    # Refuse an indivisible input before the grid, whose tasks number R_th.
     partition_matrix(spec.M0, p.p0, p.p1)
     partition_matrix(spec.M1, p.p1, p.p2)
-    points = evaluation_grid(kind, p, modulus)
-
-    def task_shares(input_id: int, m: Matrix) -> tuple[list[np.ndarray], int]:
-        """The share of m each task uses, and how many distinct shares there are."""
-        projs = [project_point(kind, input_id, t) for t in points]
-        row = {pt: i for i, pt in enumerate(dict.fromkeys(projs))}
-        shares = encode_shares(kind, p, input_id, m, list(row))
-        shares.flags.writeable = False
-        return [shares[row[pt]] for pt in projs], len(row)
-
-    shares0, encoded0 = task_shares(0, spec.M0)
-    shares1, encoded1 = task_shares(1, spec.M1)
-    tasks = list(zip(range(len(points)), points, shares0, shares1))
+    axes = grid_axes(kind, p, modulus)
+    enc0 = encode_shares(kind, p, 0, spec.M0, axes)
+    enc1 = encode_shares(kind, p, 1, spec.M1, axes)
+    sizes = tuple(map(len, axes))
+    shares0, shares1 = (np.broadcast_to(e, sizes + e.shape[-2:]) for e in (enc0, enc1))
+    block_shape = (enc0.shape[-2], enc1.shape[-1])
+    samples = np.empty(sizes + block_shape, dtype=enc0.dtype)
+    tasks = list(enumerate(np.ndindex(*sizes)))
 
     # Start no thread for workers past the task count: none would get a
     # task.  Task i goes to inbox i mod n_threads, which for every task is
@@ -169,8 +155,8 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     for box in inboxes:
         box.put(None)
 
-    # Workers post (record, result) per task, an error string per failed
-    # task, and None when they exit.
+    # Workers post (record, grid index, block) per task, an error string
+    # per failed task, and None when they exit.
     outbox: queue.Queue = queue.Queue()
     job_start = time.perf_counter()
 
@@ -191,18 +177,22 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
             else 1.0
         )
         try:
-            for tid, point, s0, s1 in iter(inbox.get, None):
+            for tid, ix in iter(inbox.get, None):
                 start = now_ms()
                 try:
                     sleep_ms = _delay_ms(spec.delay, p.K, rng, factor)
                     if sleep_ms > 0:
                         time.sleep(sleep_ms / 1000.0)
-                    product = modmatmul(s0, s1, modulus.q)
+                    product = modmatmul(shares0[ix], shares1[ix], modulus.q)
+                    # Fail a block of another shape here: numpy would
+                    # broadcast a (1, bc) block into its slot without a word.
+                    if product.shape != block_shape:
+                        raise DimensionError(f"result block is {product.shape}, not {block_shape}")
                 except Exception as exc:
                     outbox.put(f"task {tid} on worker {wid}: {type(exc).__name__}: {exc}")
                     continue
-                record = TaskRecord(tid, point, wid, start, now_ms())
-                outbox.put((record, TaskResult(point, product)))
+                point = tuple(ax[i] for ax, i in zip(axes, ix))
+                outbox.put((TaskRecord(tid, point, wid, start, now_ms()), ix, product))
         finally:
             # Posted however the thread ends, so that a worker killed by a
             # BaseException still counts as exited and the job fails.
@@ -216,18 +206,18 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         t.start()
 
     records: list[TaskRecord] = []
-    results: list[TaskResult] = []
     errors: list[str] = []
     exited = 0
-    while len(results) < len(tasks) and exited < n_threads:
+    while len(records) < len(tasks) and exited < n_threads:
         msg = outbox.get()
         if msg is None:
             exited += 1
         elif isinstance(msg, str):
             errors.append(msg)
         else:
-            records.append(msg[0])
-            results.append(msg[1])
+            record, ix, product = msg
+            samples[ix] = product
+            records.append(record)
     total_ms = now_ms()
     for t in threads:
         t.join()
@@ -238,12 +228,12 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         mode=spec.mode,
         records=records,
         total_ms=total_ms,
-        encode_counts=(encoded0, encoded1),
+        encode_counts=(math.prod(enc0.shape[:-2]), math.prod(enc1.shape[:-2])),
     )
-    if len(results) < len(tasks):
+    if len(records) < len(tasks):
         raise JobFailed(errors[0] if errors else "workers exited before finishing", trace)
 
-    return decode_product(kind, p, results, modulus), trace
+    return decode_product(kind, p, samples, modulus, axes), trace
 
 
 def render_trace_csv(trace: JobTrace) -> str:

@@ -15,16 +15,16 @@ coefficient of the pointwise-product polynomial:
   on only two of (x, y, z) and shares are reused across the third.
 
 The product polynomial's coefficient at a known monomial equals one block
-of the matrix product.  An input's shares are its block polynomial evaluated
-at the points of its own sub-grid: all of them come from one coefficient
-matrix (one row of monomial values per point) times the input's blocks
-stacked one per row.  Decoding reads each axis's points from the results,
-stacks the results into an array shaped by the axis sizes, applies to each
-axis in turn only the rows of its inverse Vandermonde matrix at exponents
-some target monomial uses, and gathers the product's blocks from their
-target coefficients.  Both are F_q products through
-`blockmat.modmatmul`, so decoding equality is bit-for-bit, not
-approximate.
+of the matrix product.  The grid is held as its axes.  An input's shares
+are its block polynomial evaluated on the axes it reads, with length 1 on
+the others so that they broadcast to the whole grid: all come from one
+coefficient matrix (one row of monomial values per point) times the
+input's blocks stacked one per row.  Decoding takes the products as one
+array shaped by the axis sizes, applies to each axis in turn only the rows
+of its inverse Vandermonde matrix at exponents some target monomial uses,
+and gathers the product's blocks from their target coefficients.  Both
+are F_q products through `blockmat.modmatmul`, so decoding equality is
+bit-for-bit, not approximate.
 
 A `Matrix` enters only as the input that `encode_shares` partitions and
 leaves only as the product that `decode_product` assembles.  Between them,
@@ -59,7 +59,6 @@ import numpy as np
 from .blockmat import (
     Matrix,
     PartitionScheme,
-    ShapeError,
     assemble_blocks,
     field_array,
     modmatmul,
@@ -73,7 +72,7 @@ class FieldTooSmall(ValueError):
 
 
 class PointArityError(ValueError):
-    """An evaluation point has the wrong number of coordinates."""
+    """A grid has the wrong number of axes for its scheme."""
 
 
 class SingularSystem(ValueError):
@@ -81,7 +80,7 @@ class SingularSystem(ValueError):
 
 
 class IncompleteResults(ValueError):
-    """Task results do not cover the evaluation grid exactly once."""
+    """Grid axes or samples do not match the scheme's axis sizes."""
 
 
 class SchemeKind(Enum):
@@ -103,14 +102,14 @@ class SchemeKind(Enum):
 class _Code:
     """One scheme's facts, as functions of the partition p.
 
-    `axis_names` are the variables in task-point order; `input_axes` are
-    the task-point coordinates each input's polynomial reads; `sizes` gives
-    the points per axis.  `left` and `right` give the monomial exponents
-    of block (i, j) over that input's own axes: the left factor is indexed
-    (b0, b1), the right factor (b1, b2), and the middle index runs in
-    reversed order on the right factor so that the wanted block products
-    line up on one monomial per output block.  `target` is the monomial of
-    the product polynomial holding product block (n0, n2).
+    `axis_names` are the variables in grid-axis order; `input_axes` are
+    the grid axes each input's polynomial reads; `sizes` gives the points
+    per axis.  `left` and `right` give the monomial exponents of block
+    (i, j) over that input's own axes: the left factor is indexed (b0, b1),
+    the right factor (b1, b2), and the middle index runs in reversed order
+    on the right factor so that the wanted block products line up on one
+    monomial per output block.  `target` is the monomial of the product
+    polynomial holding product block (n0, n2).
     """
 
     axis_names: tuple[str, ...]
@@ -236,64 +235,39 @@ def render_csv(header: str, rows: list[dict]) -> str:
     return "\n".join([header, *(",".join(str(r.get(c, "")) for c in cols) for r in rows)]) + "\n"
 
 
-def project_point(kind: SchemeKind, input_id: int, point: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinates of a full task point that the given input's share uses."""
-    code = _CODES[kind]
-    if len(point) != len(code.axis_names):
-        raise PointArityError(
-            f"{kind.value} task point needs {len(code.axis_names)} coordinates, "
-            f"got {len(point)}"
-        )
-    return tuple(point[a] for a in code.input_axes[input_id])
-
-
-@dataclass(frozen=True)
-class TaskResult:
-    """One worker's product of its two coded shares at a grid point."""
-
-    point: tuple[int, ...]
-    block: np.ndarray
-
-
-def evaluation_grid(
+def grid_axes(
     kind: SchemeKind, p: PartitionScheme, field: PrimeModulus
 ) -> tuple[tuple[int, ...], ...]:
-    """The task points, in lexicographic order: axis k uses points 1..size_k."""
+    """The evaluation grid as its axes: axis k uses points 1..size_k."""
     sizes = _CODES[kind].sizes(p)
     if max(sizes) >= field.q:
         raise FieldTooSmall(
             f"{kind.value} at {p} needs {max(sizes)} distinct nonzero points "
             f"but q = {field.q}"
         )
-    return tuple(itertools.product(*(range(1, n + 1) for n in sizes)))
+    return tuple(tuple(range(1, n + 1)) for n in sizes)
 
 
 def encode_shares(
-    kind: SchemeKind,
-    p: PartitionScheme,
-    input_id: int,
-    m: Matrix,
-    points: Sequence[tuple[int, ...]],
+    kind: SchemeKind, p: PartitionScheme, input_id: int, m: Matrix, axes: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Evaluate one input's encoding polynomial at each (projected) point.
+    """Every distinct share of one input, over the grid spanned by `axes`.
 
-    Share k is the monomial-weighted sum of the input's blocks at points[k].
-    All of them are one product: the (len(points) x pr*pc) matrix of
-    monomial values times the input's pr x pc blocks stacked one per row.  The result is a
-    (len(points), block rows, block cols) array, linear in m.
+    The array keeps the length of each axis the input reads, has length 1 on
+    the others, and ends in the block shape: it broadcasts to the whole grid,
+    and its size over the axes is the upload count.  All shares are one
+    product, the monomial values (one row per point of the read sub-grid)
+    times the input's pr x pc blocks stacked one per row; linear in m.
     """
     code = _CODES[kind]
-    arity = len(code.input_axes[input_id])
-    for point in points:
-        if len(point) != arity:
-            raise PointArityError(
-                f"{kind.value} input {input_id} expects {arity} coordinates, "
-                f"got {len(point)}"
-            )
+    if len(axes) != len(code.axis_names):
+        raise PointArityError(f"{kind.value} has {len(code.axis_names)} axes, got {len(axes)}")
+    reads = code.input_axes[input_id]
     pr, pc = (p.p0, p.p1) if input_id == 0 else (p.p1, p.p2)
     blocks = partition_matrix(m, pr, pc)
     exponents = code.left if input_id == 0 else code.right
     q = m.modulus.q
+    points = list(itertools.product(*(axes[a] for a in reads)))
     coeffs = [
         math.prod(pow(x, e, q) for x, e in zip(point, exponents(p, i, j))) % q
         for point in points
@@ -304,7 +278,7 @@ def encode_shares(
     shares = modmatmul(
         field_array(coeffs).reshape(len(points), pr * pc), blocks.reshape(pr * pc, br * bc), q
     )
-    return shares.reshape(len(points), br, bc)
+    return shares.reshape(*(len(ax) if k in reads else 1 for k, ax in enumerate(axes)), br, bc)
 
 
 def _lagrange_basis(points: tuple[int, ...], q: int) -> list[list[int]]:
@@ -361,31 +335,26 @@ def interpolate_univariate(
 
 
 def decode_product(
-    kind: SchemeKind, p: PartitionScheme, results: list[TaskResult], field: PrimeModulus
+    kind: SchemeKind,
+    p: PartitionScheme,
+    samples: np.ndarray,
+    field: PrimeModulus,
+    axes: Sequence[Sequence[int]],
 ) -> Matrix:
-    """Interpolate task results over `field` and assemble the p0 x p2 product blocks.
+    """Interpolate the samples over `field` and assemble the p0 x p2 product blocks.
 
-    Each axis's points are read from the results, in order of first
-    appearance; they must span a Cartesian grid of the code's axis sizes,
-    covered exactly once, in any order.  epc is the one-axis case: any
-    R_th results at pairwise distinct points.
+    `samples` is shaped (axis sizes..., block rows, block cols); entry i is
+    the product at point (axes[0][i_0], axes[1][i_1], ...).  Each axis may
+    hold any pairwise distinct points in any order; epc is the one-axis case.
     """
     sizes = _CODES[kind].sizes(p)
-    for r in results:
-        if len(r.point) != len(sizes):
-            raise PointArityError(
-                f"{kind.value} task point needs {len(sizes)} coordinates, got {len(r.point)}"
-            )
-    axes = [tuple(dict.fromkeys(r.point[k] for r in results)) for k in range(len(sizes))]
-    lookup = {r.point: r.block for r in results}
-    if not len(results) == len(lookup) == math.prod(sizes) or tuple(map(len, axes)) != sizes:
+    if len(axes) != len(sizes):
+        raise PointArityError(f"{kind.value} has {len(sizes)} axes, got {len(axes)}")
+    if tuple(map(len, axes)) != sizes or samples.shape[:-2] != sizes:
         raise IncompleteResults(
-            f"{kind.value} needs results covering a {' x '.join(map(str, sizes))} grid "
-            f"of distinct points exactly once, got {len(results)}"
+            f"{kind.value} needs axes and samples of sizes {sizes}, got axes of sizes "
+            f"{tuple(map(len, axes))} and samples shaped {samples.shape}"
         )
-    shape = results[0].block.shape
-    if any(r.block.shape != shape for r in results):
-        raise ShapeError("task result blocks differ in shape")
 
     # wanted[k] lists the target exponent on axis k of each product block,
     # and keep[k] the distinct ones.  Axis k of `coeffs` runs over the points
@@ -394,11 +363,10 @@ def decode_product(
     target = _CODES[kind].target
     wanted = list(zip(*(target(p, n0, n2) for n0 in range(p.p0) for n2 in range(p.p2))))
     keep = [sorted(set(exps)) for exps in wanted]
-    samples = [lookup[t] for t in itertools.product(*axes)]
-    coeffs = np.stack(samples).reshape(sizes + shape)
+    coeffs = samples
     for k in sorted(range(len(sizes)), key=lambda k: len(keep[k]) / sizes[k]):
         along = interpolate_univariate(axes[k], np.moveaxis(coeffs, k, 0), field, keep[k])
         coeffs = np.moveaxis(along, 0, k)
     index = [[kept.index(e) for e in exps] for kept, exps in zip(keep, wanted)]
     blocks = coeffs[tuple(np.array(ix) for ix in index)]
-    return assemble_blocks(blocks.reshape(p.p0, p.p2, *shape), field)
+    return assemble_blocks(blocks.reshape(p.p0, p.p2, *samples.shape[-2:]), field)

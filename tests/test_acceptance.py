@@ -13,13 +13,14 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from coded_matmul.blockmat import Matrix, PartitionScheme, matrix_multiply
 from coded_matmul.ffield import DEFAULT_MODULUS, PrimeModulus
 from coded_matmul.optimizer import feasible_partitions, tradeoff_curve
 from coded_matmul.runtime import InjectedDelay, JobSpec, run_job
 from coded_matmul.schemes import (
     SchemeKind,
-    TaskResult,
     compute_overheads,
     decode_product,
     encode_shares,
@@ -104,13 +105,13 @@ def test_univariate_decode_from_random_points():
         a = mh.random(6, 6, F_BIG, rng)
         b = mh.random(6, 6, F_BIG, rng)
         points = rng.sample(range(1, 100000), r_th)
-        shares0 = encode_shares(SchemeKind.EPC, p, 0, a, [(v,) for v in points])
-        shares1 = encode_shares(SchemeKind.EPC, p, 1, b, [(v,) for v in points])
-        results = []
-        for v, s0, s1 in zip(points, shares0, shares1):
+        shares0 = encode_shares(SchemeKind.EPC, p, 0, a, [points])
+        shares1 = encode_shares(SchemeKind.EPC, p, 1, b, [points])
+        samples = []
+        for s0, s1 in zip(shares0, shares1):
             s0, s1 = Matrix(*s0.shape, s0, F_BIG), Matrix(*s1.shape, s1, F_BIG)
-            results.append(TaskResult((v,), matrix_multiply(s0, s1).data))
-        decoded = decode_product(SchemeKind.EPC, p, results, F_BIG)
+            samples.append(matrix_multiply(s0, s1).data)
+        decoded = decode_product(SchemeKind.EPC, p, np.stack(samples), F_BIG, [points])
         assert decoded == matrix_multiply(a, b)
 
 

@@ -227,6 +227,9 @@ def test_multiply_rejects_mismatch() -> None:
     b = random_matrix(3, 2, F7, seed=10)
     with pytest.raises(DimensionError):
         matrix_multiply(a, b)
+    c = random_matrix(4, 2, PrimeModulus(11), seed=11)
+    with pytest.raises(DimensionError, match="operands use different moduli"):
+        matrix_multiply(a, c)
 
 
 def test_block_product_identity_2_2_2() -> None:
@@ -364,6 +367,11 @@ def test_matrix_rejects_zero_dimensions(shape) -> None:
         Matrix(*shape, [], F7)
 
 
+def test_matrix_rejects_wrong_entry_count() -> None:
+    with pytest.raises(ShapeError, match="^expected 4 entries, got 3$"):
+        Matrix(2, 2, [1, 2, 3], F7)
+
+
 def test_matrix_file_rejects_zero_dimensions(tmp_path) -> None:
     # The text a 2 x 0 matrix would have: its two empty rows read as blank.
     path = tmp_path / "m.mat"
@@ -434,6 +442,25 @@ def test_matrix_file_error_names_physical_line(tmp_path, text, message) -> None:
     with pytest.raises(ValueError) as err:
         read_matrix(path)
     assert str(err.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty matrix file"),
+        ("\n  \n", "empty matrix file"),
+        ("2 x 7\n0 1\n2 3\n", "bad header '2 x 7'"),
+        ("3 2 7\n0 1\n\n2 3\n", "expected 3 rows, found 2"),
+    ],
+    ids=["empty", "blank", "non-integer-header", "missing-row"],
+)
+def test_matrix_file_error_names_the_file(tmp_path, text, message) -> None:
+    # Faults of the whole file carry no line number.
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_matrix(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("row", ["2.5 1", "1e3 1"])

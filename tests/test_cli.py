@@ -110,6 +110,19 @@ def test_usage_errors_exit_one(capsys):
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 1, argv
         assert err != ""
+    # The trade-off sweep's scheme and budget lists, each refused whole.
+    tradeoff = _MODEL_ARGV["tradeoff"]
+    for flag, value, message in [
+        ("--schemes", "quad", "unknown scheme 'quad'; expected one of: epc, bi0, bi2, tri"),
+        ("--schemes", ",", "empty scheme list"),
+        ("--budgets", "x", "bad budget list 'x': "),
+        ("--budgets", "1/0", "bad budget list '1/0': "),
+        ("--budgets", ",", "empty budget list"),
+    ]:
+        i = tradeoff.index(flag)
+        rc, out, err = run_cli(capsys, *tradeoff[:i + 1], value, *tradeoff[i + 2:])
+        assert rc == 1 and out == "", value
+        assert err.startswith(f"error: {message}"), err
 
 
 _MODEL_ARGV = {
@@ -316,7 +329,8 @@ def test_multiply_indivisible_partition_exits_one_before_the_grid(
 ):
     # Divisibility is checked before the grid is built and before the field
     # size, so epc (3,3,3) on a 4x4 input over F_13 exits 1, not 2.
-    monkeypatch.setattr(runtime, "evaluation_grid", _never)
+    monkeypatch.setattr(runtime, "grid_axes", _never)
+    monkeypatch.setattr(runtime, "encode_shares", _never)
     _, _, pa, pb = write_pair(tmp_path, rows=4, inner=4, cols=4, q=q)
     rc, out, err = run_cli(
         capsys, "multiply", "--scheme", kind, "--p0", str(p[0]), "--p1", str(p[1]),

@@ -18,6 +18,10 @@ def test_default_modulus_is_mersenne_prime() -> None:
 def test_primality_check_small_cases() -> None:
     primes = [3, 5, 7, 11, 101, 2147483647]
     composites = [1, 4, 6, 9, 15, 561, 2147483649]  # 561 is a Carmichael number
+    # Composites with no factor among the bases, which only the witness
+    # loop rejects: 41 * 43, 641 * 6700417 (2^32 + 1), 151 * 751 * 28351,
+    # and 149491 * 747451 * 34233211, a strong pseudoprime to bases 2..23.
+    composites += [1763, 2**32 + 1, 3215031751, 3825123056546413051]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
 

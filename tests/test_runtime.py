@@ -8,6 +8,7 @@ against each other, never wall-clock absolutes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import statistics
@@ -32,8 +33,7 @@ from coded_matmul.runtime import (
 from coded_matmul.schemes import (
     SchemeKind,
     encode_shares,
-    evaluation_grid,
-    project_point,
+    grid_axes,
     recovery_threshold,
     upload_counts,
 )
@@ -84,6 +84,9 @@ def test_trace_completeness() -> None:
     assert len(trace.records) == rth
     assert sorted(r.task_id for r in trace.records) == list(range(rth))
     assert len({r.point for r in trace.records}) == rth
+    # Task ids run over the grid in lexicographic order.
+    points = itertools.product(*grid_axes(SchemeKind.BI0, spec.p, FBIG))
+    assert [r.point for r in trace.records] == list(points)
     assert all(0 <= r.worker < spec.workers for r in trace.records)
     for r in trace.records:
         assert r.end_ms >= r.start_ms >= 0.0
@@ -113,18 +116,22 @@ def test_each_input_encoded_by_one_kernel_call(kind: SchemeKind, q: int, monkeyp
     field = PrimeModulus(q)
     p = PartitionScheme(2, 3, 2)
     a, b = random_matrix(4, 6, field, seed=30), random_matrix(6, 4, field, seed=31)
-    tasks = evaluation_grid(kind, p, field)
+    axes = grid_axes(kind, p, field)
+    sizes = tuple(map(len, axes))
     for input_id, m in ((0, a), (1, b)):
-        points = sorted({project_point(kind, input_id, t) for t in tasks})
         calls.clear()
-        batched = encode_shares(kind, p, input_id, m, points)
+        batched = encode_shares(kind, p, input_id, m, axes)
         assert len(calls) == 1
-        for point, share in zip(points, batched):
-            assert np.array_equal(encode_shares(kind, p, input_id, m, [point])[0], share)
+        # Broadcast to the grid, it holds at each point the share encoded
+        # there alone.
+        shares = np.broadcast_to(batched, sizes + batched.shape[-2:])
+        for ix in np.ndindex(*sizes):
+            alone = encode_shares(kind, p, input_id, m, [(ax[i],) for ax, i in zip(axes, ix)])
+            assert np.array_equal(alone.reshape(shares.shape[-2:]), shares[ix])
     calls.clear()
     out, trace = run_job(JobSpec(kind, p, a, b, workers=2))
     assert out == matrix_multiply(a, b)
-    assert len(calls) == 2 + len(tasks[0])
+    assert len(calls) == 2 + len(axes)
     assert trace.encode_counts == upload_counts(kind, p)
 
 
@@ -199,6 +206,29 @@ def test_worker_failure_raises_job_failed(monkeypatch) -> None:
     assert isinstance(trace, JobTrace)
     rth = recovery_threshold(SchemeKind.TRI, PartitionScheme(2, 2, 2))
     assert len(trace.records) < rth
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_block_of_another_shape_fails_the_job(kind: SchemeKind, monkeypatch) -> None:
+    # numpy would broadcast a (1, bc) block into its (br, bc) slot without a
+    # word, and refuse a (br, 2 bc) one in the coordinator.  Either block,
+    # from the first task or the last, fails its task and so the job.
+    spec = make_spec(kind, workers=1)
+    rth = recovery_threshold(kind, spec.p)
+    real = rt.modmatmul
+    for reshape in (lambda x: x[:1], lambda x: np.hstack([x, x])):
+        for bad_call in (1, rth):
+            calls = []
+
+            def faulty(a, b, q):
+                calls.append(None)
+                out = real(a, b, q)
+                return reshape(out) if len(calls) == bad_call else out
+
+            monkeypatch.setattr(rt, "modmatmul", faulty)
+            with pytest.raises(JobFailed, match="DimensionError: result block is"):
+                run_job(spec)
+            assert len(calls) == rth
 
 
 @pytest.mark.parametrize("mode", ["dynamic", "static"])
@@ -348,11 +378,12 @@ def test_validation() -> None:
 
 @pytest.mark.parametrize("p", [(1000, 2, 1000), (3, 1, 1), (1, 3, 1), (1, 1, 3)])
 def test_indivisible_partition_refused_before_the_grid(monkeypatch, p) -> None:
-    # At (1000, 2, 1000) tri's grid would hold 3 million points for a 4x4 input.
+    # At (1000, 2, 1000) tri's grid would hold 3 million tasks for a 4x4 input.
     def never(*args):
         raise AssertionError("built the grid of an indivisible partition")
 
-    monkeypatch.setattr(rt, "evaluation_grid", never)
+    monkeypatch.setattr(rt, "grid_axes", never)
+    monkeypatch.setattr(rt, "encode_shares", never)
     spec = make_spec(SchemeKind.TRI, p=PartitionScheme(*p), M0=random_matrix(4, 4, FBIG, 1),
                      M1=random_matrix(4, 4, FBIG, 2))
     with pytest.raises(DimensionError, match="not divisible"):

@@ -13,6 +13,7 @@ Two oracles drive everything here:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -23,7 +24,6 @@ from coded_matmul.blockmat import (
     DimensionError,
     Matrix,
     PartitionScheme,
-    ShapeError,
     matrix_multiply,
     partition_matrix,
 )
@@ -34,13 +34,11 @@ from coded_matmul.schemes import (
     PointArityError,
     SchemeKind,
     SingularSystem,
-    TaskResult,
     axis_names,
     decode_product,
     encode_shares,
-    evaluation_grid,
+    grid_axes,
     interpolate_univariate,
-    project_point,
     recovery_threshold,
     upload_counts,
 )
@@ -168,30 +166,26 @@ def block(blocks: np.ndarray, i: int, j: int, field: PrimeModulus) -> Matrix:
 def share(
     kind: SchemeKind, p: PartitionScheme, input_id: int, m: Matrix, point: tuple[int, ...]
 ) -> Matrix:
-    """The one share of m at a (projected) point, as a Matrix."""
-    (data,) = encode_shares(kind, p, input_id, m, [point])
-    return Matrix(*data.shape, data, m.modulus)
+    """The one share of m at a grid point, encoded on one-point axes, as a Matrix."""
+    data = encode_shares(kind, p, input_id, m, [(x,) for x in point])
+    return Matrix(*data.shape[-2:], data.reshape(data.shape[-2:]), m.modulus)
 
 
-def grid_axes(tasks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Each axis's points, in order of first appearance in the task tuple."""
-    return tuple(tuple(dict.fromkeys(t[k] for t in tasks)) for k in range(len(tasks[0])))
+def grid_points(axes) -> list[tuple[int, ...]]:
+    """The grid's points in lexicographic index order."""
+    return list(itertools.product(*axes))
 
 
-def task_results(
-    kind: SchemeKind,
-    p: PartitionScheme,
-    a: Matrix,
-    b: Matrix,
-    field: PrimeModulus,
-) -> list[TaskResult]:
-    """Encode both inputs and multiply share pairs at every grid task."""
-    results = []
-    for point in evaluation_grid(kind, p, field):
-        s0 = share(kind, p, 0, a, project_point(kind, 0, point))
-        s1 = share(kind, p, 1, b, project_point(kind, 1, point))
-        results.append(TaskResult(point, matrix_multiply(s0, s1).data))
-    return results
+def task_samples(
+    kind: SchemeKind, p: PartitionScheme, a: Matrix, b: Matrix, axes
+) -> np.ndarray:
+    """Multiply the share pair at every grid point, each encoded on its own,
+    into an array shaped (axis sizes..., block rows, block cols)."""
+    blocks = [
+        matrix_multiply(share(kind, p, 0, a, point), share(kind, p, 1, b, point)).data
+        for point in grid_points(axes)
+    ]
+    return np.stack(blocks).reshape(tuple(map(len, axes)) + blocks[0].shape)
 
 
 def run_scheme(
@@ -201,8 +195,9 @@ def run_scheme(
     b: Matrix,
     field: PrimeModulus,
 ) -> Matrix:
-    """Encode both inputs, multiply share pairs at every grid task, decode."""
-    return decode_product(kind, p, task_results(kind, p, a, b, field), field)
+    """Encode both inputs, multiply share pairs at every grid point, decode."""
+    axes = grid_axes(kind, p, field)
+    return decode_product(kind, p, task_samples(kind, p, a, b, axes), field, axes)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +250,24 @@ def test_upload_counts_worked_cases() -> None:
     assert upload_counts(SchemeKind.BI2, p222) == (5, 10)
 
 
+# The grid axes each input's polynomial reads, written out per scheme: an
+# input's share at a point depends on those coordinates alone.
+READS = {
+    SchemeKind.EPC: ((0,), (0,)),
+    SchemeKind.BI0: ((0, 1), (1,)),
+    SchemeKind.BI2: ((0,), (0, 1)),
+    SchemeKind.TRI: ((0, 1), (1, 2)),
+}
+
+
 def test_upload_counts_match_distinct_grid_projections() -> None:
-    # Oracle: count distinct per-input projections of the actual task list.
+    # Oracle: count distinct per-input projections of the lexicographic grid.
     for kind in ALL_KINDS:
         for p0, p1, p2 in [(1, 1, 1), (2, 2, 2), (3, 2, 4), (2, 3, 1)]:
             p = PartitionScheme(p0, p1, p2)
-            tasks = evaluation_grid(kind, p, FBIG)
-            distinct0 = {project_point(kind, 0, t) for t in tasks}
-            distinct1 = {project_point(kind, 1, t) for t in tasks}
-            assert upload_counts(kind, p) == (len(distinct0), len(distinct1))
+            points = grid_points(grid_axes(kind, p, FBIG))
+            distinct = [{tuple(t[k] for k in reads) for t in points} for reads in READS[kind]]
+            assert upload_counts(kind, p) == tuple(map(len, distinct))
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +275,22 @@ def test_upload_counts_match_distinct_grid_projections() -> None:
 
 
 def test_grid_tri_2_2_2() -> None:
-    tasks = evaluation_grid(SchemeKind.TRI, PartitionScheme(2, 2, 2), F101)
-    assert grid_axes(tasks) == ((1, 2), (1, 2, 3), (1, 2))
-    assert len(tasks) == 12
+    axes = grid_axes(SchemeKind.TRI, PartitionScheme(2, 2, 2), F101)
+    assert axes == ((1, 2), (1, 2, 3), (1, 2))
+    assert len(grid_points(axes)) == 12
 
 
 def test_grid_epc_trivial() -> None:
-    tasks = evaluation_grid(SchemeKind.EPC, PartitionScheme(1, 1, 1), F101)
-    assert grid_axes(tasks) == ((1,),)
-    assert tasks == ((1,),)
+    axes = grid_axes(SchemeKind.EPC, PartitionScheme(1, 1, 1), F101)
+    assert axes == ((1,),)
+    assert grid_points(axes) == [(1,)]
 
 
 def test_grid_bi0_axis_sizes() -> None:
     p = PartitionScheme(3, 2, 4)
-    tasks = evaluation_grid(SchemeKind.BI0, p, F101)
-    assert tuple(len(a) for a in grid_axes(tasks)) == (3, 9)
-    assert len(tasks) == 27 == recovery_threshold(SchemeKind.BI0, p)
+    axes = grid_axes(SchemeKind.BI0, p, F101)
+    assert tuple(map(len, axes)) == (3, 9)
+    assert len(grid_points(axes)) == 27 == recovery_threshold(SchemeKind.BI0, p)
 
 
 def test_grid_task_count_equals_threshold_everywhere() -> None:
@@ -295,22 +299,22 @@ def test_grid_task_count_equals_threshold_everywhere() -> None:
             for p1 in (1, 2, 3):
                 for p2 in (1, 2, 3):
                     p = PartitionScheme(p0, p1, p2)
-                    tasks = evaluation_grid(kind, p, FBIG)
-                    assert len(tasks) == recovery_threshold(kind, p)
-                    assert len(set(tasks)) == len(tasks)
+                    axes = grid_axes(kind, p, FBIG)
+                    assert math.prod(map(len, axes)) == recovery_threshold(kind, p)
+                    assert all(len(set(axis)) == len(axis) for axis in axes)
 
 
 def test_grid_lexicographic_order() -> None:
-    tasks = evaluation_grid(SchemeKind.TRI, PartitionScheme(2, 2, 2), F101)
-    assert tasks[:4] == ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2))
-    assert list(tasks) == sorted(tasks)
+    points = grid_points(grid_axes(SchemeKind.TRI, PartitionScheme(2, 2, 2), F101))
+    assert points[:4] == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
+    assert points == sorted(points)
 
 
 def test_grid_field_too_small() -> None:
     with pytest.raises(FieldTooSmall):
-        evaluation_grid(SchemeKind.EPC, PartitionScheme(2, 2, 2), F7)  # needs 9 points
+        grid_axes(SchemeKind.EPC, PartitionScheme(2, 2, 2), F7)  # needs 9 points
     # 7 > all of Tri's axis sizes at (2,2,2), so this one is fine
-    evaluation_grid(SchemeKind.TRI, PartitionScheme(2, 2, 2), F7)
+    grid_axes(SchemeKind.TRI, PartitionScheme(2, 2, 2), F7)
 
 
 def test_axis_names() -> None:
@@ -328,8 +332,8 @@ def test_encode_trivial_partition_returns_sole_block() -> None:
     p = PartitionScheme(1, 1, 1)
     m = random_matrix(4, 4, F101, seed=0)
     for kind in ALL_KINDS:
-        for point in evaluation_grid(kind, p, F101):
-            assert share(kind, p, 0, m, project_point(kind, 0, point)) == m
+        for point in grid_points(grid_axes(kind, p, F101)):
+            assert share(kind, p, 0, m, point) == m
 
 
 def test_encode_epc_at_one_sums_blocks() -> None:
@@ -351,7 +355,9 @@ def test_encode_tri_matches_direct_sum() -> None:
         for b1 in range(2):
             c = pow(2, b0, 101) * pow(3, b1, 101) % 101
             expected = mh.add(expected, mh.scale(block(grid, b0, b1, F101), c))
-    assert share(SchemeKind.TRI, p, 0, m, (2, 3)) == expected
+    # The left share reads (x, y) only, so every z gives the same one.
+    for z in (1, 2):
+        assert share(SchemeKind.TRI, p, 0, m, (2, 3, z)) == expected
 
 
 def test_encode_matches_symbolic_oracle_scalar_blocks() -> None:
@@ -369,10 +375,13 @@ def test_encode_matches_symbolic_oracle_scalar_blocks() -> None:
                 rows, cols, [vals[i, j] for i in range(rows) for j in range(cols)], F101
             )
             poly = oracle_input_poly(kind, input_id, p, vals, q)
-            for point in evaluation_grid(kind, p, F101)[:6]:
-                proj = project_point(kind, input_id, point)
-                # oracle works on the full-arity point
-                assert mh.at(share(kind, p, input_id, m, proj), 0, 0) == poly_eval(poly, point, q)
+            # The encoded array, broadcast to the grid, matches the oracle
+            # at every grid point.
+            axes = grid_axes(kind, p, F101)
+            sizes = tuple(map(len, axes))
+            shares = np.broadcast_to(encode_shares(kind, p, input_id, m, axes), sizes + (1, 1))
+            for ix, point in zip(np.ndindex(*sizes), grid_points(axes)):
+                assert shares[ix][0, 0] == poly_eval(poly, point, q)
 
 
 def test_encode_is_linear() -> None:
@@ -380,10 +389,9 @@ def test_encode_is_linear() -> None:
     a = random_matrix(4, 4, F101, seed=4)
     b = random_matrix(4, 4, F101, seed=5)
     for kind in ALL_KINDS:
-        point = evaluation_grid(kind, p, F101)[-1]
-        proj = project_point(kind, 0, point)
-        lhs = share(kind, p, 0, mh.add(a, b), proj)
-        rhs = mh.add(share(kind, p, 0, a, proj), share(kind, p, 0, b, proj))
+        point = grid_points(grid_axes(kind, p, F101))[-1]
+        lhs = share(kind, p, 0, mh.add(a, b), point)
+        rhs = mh.add(share(kind, p, 0, a, point), share(kind, p, 0, b, point))
         assert lhs == rhs
 
 
@@ -391,16 +399,16 @@ def test_encode_rejects_wrong_arity() -> None:
     p = PartitionScheme(2, 2, 2)
     m = random_matrix(4, 4, F101, seed=6)
     with pytest.raises(PointArityError):
-        encode_shares(SchemeKind.TRI, p, 0, m, [(1, 2), (1, 2, 3)])  # input 0 uses (x, y)
+        encode_shares(SchemeKind.TRI, p, 0, m, [(1, 2), (1, 2, 3)])  # tri has three axes
     with pytest.raises(PointArityError):
-        encode_shares(SchemeKind.EPC, p, 0, m, [(1, 2)])
+        encode_shares(SchemeKind.EPC, p, 0, m, [(1, 2), (1,)])
 
 
 def test_encode_rejects_indivisible_input() -> None:
     # a 4x3 left factor cannot be split into p0 x p1 = 2 x 2 blocks
     m = random_matrix(4, 3, F101, seed=25)
     with pytest.raises(DimensionError):
-        encode_shares(SchemeKind.TRI, PartitionScheme(2, 2, 2), 0, m, [(1, 1)])
+        encode_shares(SchemeKind.TRI, PartitionScheme(2, 2, 2), 0, m, [(1,), (1,), (1,)])
 
 
 # ---------------------------------------------------------------------------
@@ -537,62 +545,61 @@ def test_decode_exact_more_partitions(dims: tuple) -> None:
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_decode_accepts_results_in_any_order(kind: SchemeKind) -> None:
+    # Each axis's points in another order, with the sample slices along
+    # that axis permuted the same way.
     p = PartitionScheme(2, 3, 2)
     a = random_matrix(4, 6, F101, seed=20)
     b = random_matrix(6, 4, F101, seed=21)
-    results = task_results(kind, p, a, b, F101)
-    shuffled = list(results)
-    random.Random(22).shuffle(shuffled)
-    assert shuffled != results
-    for order in (results[::-1], shuffled):
-        assert decode_product(kind, p, order, F101) == matrix_multiply(a, b)
+    axes = grid_axes(kind, p, F101)
+    samples = task_samples(kind, p, a, b, axes)
+    rng = random.Random(22)
+    shuffled = [rng.sample(range(len(axis)), len(axis)) for axis in axes]
+    reversed_ = [list(range(len(axis)))[::-1] for axis in axes]
+    assert shuffled != [list(range(len(axis))) for axis in axes]
+    for perms in (reversed_, shuffled):
+        order = [[axis[i] for i in perm] for axis, perm in zip(axes, perms)]
+        permuted = samples[np.ix_(*perms)]
+        assert decode_product(kind, p, permuted, F101, order) == matrix_multiply(a, b)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_decode_epc_arbitrary_points(kind: SchemeKind) -> None:
     # Decoding must not depend on using the default 1..size axes: each
-    # axis gets random distinct points, and the grid arrives shuffled.
+    # axis gets random distinct points, in random order.
     p = PartitionScheme(2, 2, 2)
     a = random_matrix(4, 4, FBIG, seed=15)
     b = random_matrix(4, 4, FBIG, seed=16)
     rng = random.Random(17)
-    sizes = [len(axis) for axis in grid_axes(evaluation_grid(kind, p, FBIG))]
+    sizes = map(len, grid_axes(kind, p, FBIG))
     axes = [rng.sample(range(1000, 10**9), n) for n in sizes]
-    points = list(itertools.product(*axes))
-    rng.shuffle(points)
-    results = []
-    for point in points:
-        s0 = share(kind, p, 0, a, project_point(kind, 0, point))
-        s1 = share(kind, p, 1, b, project_point(kind, 1, point))
-        results.append(TaskResult(point, matrix_multiply(s0, s1).data))
-    assert decode_product(kind, p, results, FBIG) == matrix_multiply(a, b)
+    samples = task_samples(kind, p, a, b, axes)
+    assert decode_product(kind, p, samples, FBIG, axes) == matrix_multiply(a, b)
 
 
 @pytest.mark.parametrize("q", [101, 2**61 - 1])
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3), (2, 4, 2), (4, 1, 4)])
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_decode_shuffled_random_grid(kind: SchemeKind, dims: tuple, q: int) -> None:
-    # Random distinct points per axis, results in random order.
+    # Random distinct points per axis, in random order, with both inputs
+    # encoded once over those axes and broadcast to the grid.
     field = PrimeModulus(q)
     p = PartitionScheme(*dims)
     a = random_matrix(12, 4, field, seed=40)
     b = random_matrix(4, 12, field, seed=41)
     rng = random.Random(f"{kind.value} {dims} {q}")
-    sizes = [len(axis) for axis in grid_axes(evaluation_grid(kind, p, field))]
+    sizes = tuple(map(len, grid_axes(kind, p, field)))
     axes = [rng.sample(range(1, q), n) for n in sizes]
-    points = list(itertools.product(*axes))
-    rng.shuffle(points)
-    results = [
-        TaskResult(
-            point,
-            matrix_multiply(
-                share(kind, p, 0, a, project_point(kind, 0, point)),
-                share(kind, p, 1, b, project_point(kind, 1, point)),
-            ).data,
-        )
-        for point in points
-    ]
-    assert decode_product(kind, p, results, field) == matrix_multiply(a, b)
+    s0, s1 = (
+        np.broadcast_to(e, sizes + e.shape[-2:])
+        for e in (encode_shares(kind, p, 0, a, axes), encode_shares(kind, p, 1, b, axes))
+    )
+
+    def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return matrix_multiply(Matrix(*x.shape, x, field), Matrix(*y.shape, y, field)).data
+
+    samples = np.stack([mul(s0[ix], s1[ix]) for ix in np.ndindex(*sizes)])
+    samples = samples.reshape(sizes + samples.shape[1:])
+    assert decode_product(kind, p, samples, field, axes) == matrix_multiply(a, b)
 
 
 @pytest.mark.parametrize(
@@ -613,7 +620,8 @@ def test_decode_applies_only_wanted_rows(kind, inverse_shapes, monkeypatch) -> N
     p = PartitionScheme(2, 4, 2)
     a = random_matrix(4, 8, F101, seed=42)
     b = random_matrix(8, 4, F101, seed=43)
-    results = task_results(kind, p, a, b, F101)
+    axes = grid_axes(kind, p, F101)
+    samples = task_samples(kind, p, a, b, axes)
     shapes = []
     kernel = schemes.modmatmul
 
@@ -622,7 +630,7 @@ def test_decode_applies_only_wanted_rows(kind, inverse_shapes, monkeypatch) -> N
         return kernel(x, y, modulus)
 
     monkeypatch.setattr(schemes, "modmatmul", recorded)
-    assert decode_product(kind, p, results, F101) == matrix_multiply(a, b)
+    assert decode_product(kind, p, samples, F101, axes) == matrix_multiply(a, b)
     assert shapes == inverse_shapes
 
 
@@ -630,53 +638,43 @@ def test_decode_rejects_missing_and_duplicate_tasks() -> None:
     p = PartitionScheme(2, 2, 2)
     a = random_matrix(4, 4, F101, seed=18)
     b = random_matrix(4, 4, F101, seed=19)
-    results = task_results(SchemeKind.TRI, p, a, b, F101)
-    last = results[-1]
-    assert last.point == (2, 3, 2)
-    with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, results[:-1], F101)
-    with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, results[:-1] + [results[0]], F101)
-    with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, results + [results[0]], F101)
-    # Right count, but (2, 3, 3) is off the Cartesian grid.
-    off_grid = results[:-1] + [TaskResult((2, 3, 3), last.block)]
-    with pytest.raises(IncompleteResults):
-        decode_product(SchemeKind.TRI, p, off_grid, F101)
-    too_long = results[:-1] + [TaskResult((2, 3, 2, 1), last.block)]
-    with pytest.raises(PointArityError):
-        decode_product(SchemeKind.TRI, p, too_long, F101)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-def test_decode_rejects_block_of_another_shape(kind: SchemeKind) -> None:
-    p = PartitionScheme(2, 2, 2)
-    a = random_matrix(4, 4, F101, seed=44)
-    b = random_matrix(4, 4, F101, seed=45)
-    results = task_results(kind, p, a, b, F101)
-    assert decode_product(kind, p, results, F101) == matrix_multiply(a, b)
-    last = results[-1]
-    # One block twice as wide as the rest, first or last in the list.
-    wide = TaskResult(last.point, np.hstack([last.block, last.block]))
-    with pytest.raises(ShapeError):
-        decode_product(kind, p, results[:-1] + [wide], F101)
-    with pytest.raises(ShapeError):
-        decode_product(kind, p, [wide] + results[:-1], F101)
+    axes = grid_axes(SchemeKind.TRI, p, F101)
+    samples = task_samples(SchemeKind.TRI, p, a, b, axes)
+    assert samples.shape == (2, 3, 2, 2, 2)
+    assert decode_product(SchemeKind.TRI, p, samples, F101, axes) == matrix_multiply(a, b)
+    x, y, z = axes
+    # Missing or extra samples, or an axis with a point too few or too many.
+    for bad_samples, bad_axes in [
+        (samples[:, :, :1], axes),
+        (samples[:, :2], axes),
+        (np.concatenate([samples, samples[:1]]), axes),
+        (samples, (x, y, z[:1])),
+        (samples, (x, y + (4,), z)),
+        (np.concatenate([samples, samples[:1]]), ((1, 2, 3), y, z)),
+        (samples[..., 0, 0], axes),
+    ]:
+        with pytest.raises(IncompleteResults):
+            decode_product(SchemeKind.TRI, p, bad_samples, F101, bad_axes)
+    # A point twice on one axis leaves the system singular.
+    with pytest.raises(SingularSystem):
+        decode_product(SchemeKind.TRI, p, samples, F101, (x, (1, 2, 2), z))
+    for bad_axes in [axes + ((1,),), (x, y)]:
+        with pytest.raises(PointArityError):
+            decode_product(SchemeKind.TRI, p, samples, F101, bad_axes)
 
 
 def test_share_shapes() -> None:
     p = PartitionScheme(2, 2, 2)
     a = random_matrix(4, 6, F101, seed=20)  # left factor 4x6 -> blocks 2x3
     b = random_matrix(6, 4, F101, seed=21)  # right factor 6x4 -> blocks 3x2
-    points = evaluation_grid(SchemeKind.BI0, p, F101)[:3]
-    s0 = encode_shares(
-        SchemeKind.BI0, p, 0, a, [project_point(SchemeKind.BI0, 0, t) for t in points]
-    )
-    s1 = encode_shares(
-        SchemeKind.BI0, p, 1, b, [project_point(SchemeKind.BI0, 1, t) for t in points]
-    )
-    assert s0.shape == (3, 2, 3)
-    assert s1.shape == (3, 3, 2)
+    axes = grid_axes(SchemeKind.BI0, p, F101)
+    assert tuple(map(len, axes)) == (2, 5)
+    # The left share reads (x, y), the right y alone.
+    assert encode_shares(SchemeKind.BI0, p, 0, a, axes).shape == (2, 5, 2, 3)
+    assert encode_shares(SchemeKind.BI0, p, 1, b, axes).shape == (1, 5, 3, 2)
+    tri_axes = grid_axes(SchemeKind.TRI, p, F101)
+    assert encode_shares(SchemeKind.TRI, p, 0, a, tri_axes).shape == (2, 3, 1, 2, 3)
+    assert encode_shares(SchemeKind.TRI, p, 1, b, tri_axes).shape == (1, 3, 2, 3, 2)
     assert run_scheme(SchemeKind.BI0, p, a, b, F101) == matrix_multiply(a, b)
 
 
