@@ -24,6 +24,7 @@ applied silently, so decode-equality checks stay exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,12 +32,14 @@ import numpy as np
 
 from .ffield import PrimeModulus
 
-# Inner dimensions below this multiply in int64 for q < 2^31: on short, wide
-# shapes such as a share encoding's (9 x 4) @ (4 x 4096) the float kernel's
-# passes over its output cost more than numpy's integer matmul.  Measured on
-# (9 x k) @ (k x 4096), the integer matmul is about 1.45x faster at k = 4
-# and 1.3x at k = 12, and 1.55x slower at k = 16.
-_SHORT_INNER = 16
+# Inner dimensions below this multiply by `_short_product` for q < 2^31: up
+# to 31 its sums stay exact.  It is faster than the limb kernel at every
+# inner dimension it takes, so exactness sets the bound.  Medians of 300
+# interleaved rounds (2-vCPU host, one OpenBLAS thread), its time over the
+# limb kernel's: 0.35x on (9 x 4) @ (4 x 4096), 0.34x on (4 x 9) @
+# (9 x 4096), 0.37x and 0.38x at inner 16 and 31 on 9 x 4096 outputs,
+# 0.39x on (64 x 31) @ (31 x 64) and 0.42x on (4 x 31) @ (31 x 4).
+_SHORT_INNER = 32
 
 # The characters of a matrix file that `read_matrix` parses in bulk: ASCII
 # digits, signs and whitespace.  numpy's integer parser reads some other text
@@ -45,6 +48,13 @@ _SHORT_INNER = 16
 # decimals such as `2.5` or `1e3` with only a DeprecationWarning.  The
 # whitespace is Python's `string.whitespace`.
 _BULK_CHARS = b"0123456789+- \t\n\r\x0b\x0c"
+
+# Entries per block of rows that `_text` formats at once.  A block's arrays
+# (32 KiB per int64 array, 84 KiB of records at 19 digits) stay below
+# glibc's 128 KiB mmap threshold, so the heap reuses them from block to
+# block.  Arrays of a whole 128 x 128 matrix were mapped afresh on many
+# writes, at 60 to 190 minor page faults each.
+_TEXT_BLOCK = 4096
 
 
 class DimensionError(ValueError):
@@ -90,15 +100,13 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     in float64 in any order.  `_limb_product` reduces one chunk, and the
     chunks' residues are added mod q.
 
-    Where q < 2^31 and the inner dimension is below `_SHORT_INNER`, a splits
-    into 16-bit limbs alone, a = hi * 2^16 + lo, and the product is
-    ((hi @ b) mod q * 2^16 + lo @ b) mod q in int64, whose largest value,
-    (q - 1) * (2^16 + 15 * (2^16 - 1)), is far below 2^63.
+    Where q < 2^31 and the inner dimension is below `_SHORT_INNER`, as in
+    share encoding and decoding, `_short_product` splits a alone and takes
+    two dgemms against b whole.
     """
+    if q < 2**31 and a.shape[1] < _SHORT_INNER:
+        return _short_product(a, b, q)
     inner = a.shape[1]
-    if q < 2**31 and inner < _SHORT_INNER:
-        hi, lo = a >> 16, a & 0xFFFF
-        return ((hi @ b) % q * 2**16 + lo @ b) % q
     limbs = -(-(q - 1).bit_length() // 16)
     chunk = 2**52 // (limbs * 0xFFFF**2)
     out = _limb_product(a[:, :chunk], b[:chunk], q, limbs)
@@ -106,6 +114,47 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         out += _limb_product(a[:, start:start + chunk], b[start:start + chunk], q, limbs)
         np.minimum(out, out - np.uint64(q), out=out)
     return out.view(np.int64)
+
+
+def _short_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q, as int64, for q < 2^31 and an inner dimension below 32.
+
+    a splits into 16-bit limbs, a = hi * 2^16 + lo, held in float64 with b
+    whole, and the product is ((hi @ b) mod q * 2^16 + lo @ b) mod q.  Each
+    dgemm sums at most 31 products below 2^47, so it is exact.  `_reduce`
+    takes hi @ b to [0, q], which keeps x * 2^16 + lo @ b below
+    2^47 + 31 * 2^47 = 2^52, and takes that to [0, q]; one conditional
+    subtract of q on the int64 result ends it.  Beside x, the output runs
+    through one scratch array, which becomes the result.
+    """
+    fb = b.astype(np.float64)
+    x = np.matmul((a >> 16).astype(np.float64), fb)
+    scratch = np.empty_like(x)
+    _reduce(x, scratch, q)
+    x *= 2.0**16
+    x += np.matmul((a & 0xFFFF).astype(np.float64), fb, out=scratch)
+    _reduce(x, scratch, q)
+    out = scratch.view(np.int64)
+    np.copyto(out, x, casting="unsafe")
+    u = out.view(np.uint64)
+    np.minimum(u, np.subtract(u, np.uint64(q), out=x.view(np.uint64)), out=u)
+    return out
+
+
+def _reduce(x: np.ndarray, scratch: np.ndarray, q: int) -> None:
+    """x -= floor(x * (1/q)) * q in place, for float64 x of integers in [0, 2^52).
+
+    This leaves x in [0, q].  The computed quotient carries two roundings,
+    so it is within (x / q) * (2^-52 + 2^-106) < 1/q of x / q, which lies
+    at least 1/q below the next integer.  So its floor is floor(x / q), or
+    one less where q divides x and the quotient rounds down, which leaves
+    q.  The product of the floor and q and the difference are integers
+    below 2^52, exact.  `scratch` is overwritten.
+    """
+    np.multiply(x, 1.0 / q, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= q
+    x -= scratch
 
 
 def _limbs(x: np.ndarray, limbs: int) -> np.ndarray:
@@ -304,11 +353,64 @@ def _parse_rows(path, body: list[tuple[int, str]], cols: int, q: int) -> list[in
     return data
 
 
+def _digit_table() -> np.ndarray:
+    """The 4-byte text of each base-10^4 chunk, one uint32 per row.
+
+    Row c < 10^4 is c zero-padded ("0042"); row 10^4 + c is c with a NUL
+    for each leading zero (two NULs and "42"; three NULs and "0" for 0);
+    row 2 * 10^4 is all NUL.  `_text` writes an entry's chunks below its
+    leading one from the first half, its leading chunk from the second, and
+    the chunks above it as the blank.
+    """
+    n = np.arange(10**4)
+    text = np.zeros((2 * 10**4 + 1, 4), np.uint8)
+    for i in range(4):
+        text[: 10**4, i] = n // 10 ** (3 - i) % 10 + ord("0")
+    text[10**4 : 2 * 10**4] = text[: 10**4]
+    for i in range(3):
+        text[10**4 : 10**4 + 10 ** (3 - i), i] = 0
+    return text.view(np.uint32).ravel()
+
+
+_DIGITS = _digit_table()
+
+
+def _text(m: Matrix) -> Iterator[bytes]:
+    """The text of m as `read_matrix` reads it: the header, then blocks of rows.
+
+    An entry is written as the `_DIGITS` rows of its base-10^4 chunks, as
+    many as q - 1 has, followed by its space or newline, and one
+    `bytes.translate` per block drops the NULs of the unpadded and blank
+    rows.  The row of chunk j (0 the least significant) is picked by
+    comparing the entry with 10^(4j) and 10^(4j + 4), which every entry is
+    below at the top chunk.
+    """
+    q = m.modulus.q
+    yield b"%d %d %d\n" % (m.rows, m.cols, q)
+    chunks = -(-len(str(q - 1)) // 4)
+    rows = max(1, _TEXT_BLOCK // m.cols)
+    records = np.empty(rows * m.cols, [("text", np.uint32, (chunks,)), ("sep", np.uint8)])
+    records["sep"] = ord(" ")
+    records["sep"][m.cols - 1 :: m.cols] = ord("\n")
+    for start in range(0, m.rows, rows):
+        value = rest = m.data[start : start + rows].ravel()
+        block = records[: value.size]
+        for j in range(chunks):
+            high = rest // 10**4
+            row = rest - high * 10**4 + 10**4 * (value < min(10 ** (4 * j + 4), q))
+            if j:
+                row += 10**4 * (value < 10 ** (4 * j))
+            block["text"][:, chunks - 1 - j] = _DIGITS[row]
+            rest = high
+        yield block.tobytes().translate(None, b"\0")
+
+
 def format_matrix(m: Matrix) -> str:
     """The plain-text format that `read_matrix` reads."""
-    body = "\n".join([" ".join(["%d"] * m.cols)] * m.rows) % tuple(m.data.ravel().tolist())
-    return f"{m.rows} {m.cols} {m.modulus.q}\n{body}\n"
+    return b"".join(_text(m)).decode("ascii")
 
 
 def write_matrix(m: Matrix, path: str | Path) -> None:
-    Path(path).write_text(format_matrix(m))
+    """Write `format_matrix(m)` to path, block by block."""
+    with open(path, "wb") as f:
+        f.writelines(_text(m))

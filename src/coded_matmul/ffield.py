@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # 2^31 - 1 (Mersenne prime): elements fit two 16-bit limbs, products with a
-# short inner dimension stay on `blockmat.modmatmul`'s int64 path, and the
-# field is far larger than any evaluation grid used here.
+# short inner dimension take `blockmat.modmatmul`'s two-dgemm short path,
+# and the field is far larger than any evaluation grid used here.
 DEFAULT_MODULUS = 2147483647
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

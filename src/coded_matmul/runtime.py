@@ -230,6 +230,9 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         total_ms=total_ms,
         encode_counts=(math.prod(enc0.shape[:-2]), math.prod(enc1.shape[:-2])),
     )
+    # Every worker has exited, so the shares are dead: dropping them lets
+    # the decode's arrays reuse their memory instead of growing the heap.
+    del enc0, enc1, shares0, shares1
     if len(records) < len(tasks):
         raise JobFailed(errors[0] if errors else "workers exited before finishing", trace)
 

@@ -8,6 +8,7 @@ oracle: it is written independently of the library and used to check both
 from __future__ import annotations
 
 import functools
+import math
 import random
 import string
 
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 
 from coded_matmul.blockmat import (
     _BULK_CHARS,
+    _DIGITS,
+    _SHORT_INNER,
     DimensionError,
     Matrix,
     PartitionScheme,
@@ -133,8 +136,8 @@ def test_multiply_one_by_one() -> None:
 
 @pytest.mark.parametrize("q", [101, 2**31 - 1, 2147483659, 2**61 - 1, 9223372036854775783])
 def test_multiply_matches_definition(q: int) -> None:
-    # An inner dimension of 4 runs q < 2^31 on int64 limbs and the rest on
-    # float64 limbs: two limbs up to 2^32 (2147483659 is the first prime
+    # An inner dimension of 4 takes the short path for q < 2^31 and the rest
+    # the limb kernel: two limbs up to 2^32 (2147483659 is the first prime
     # above 2^31), four up to the largest prime below 2^63.
     field = PrimeModulus(q)
     a = random_matrix(3, 4, field, seed=7)
@@ -199,14 +202,14 @@ def test_multiply_exact_at_chunk_bound(q: int, extra: int) -> None:
     q=st.sampled_from([3, 65537, *KERNEL_MODULI]),
     shape=st.one_of(
         st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
-        st.sampled_from([(3, 15, 300), (3, 16, 300)]),
+        st.sampled_from([(3, _SHORT_INNER - 1, 300), (3, _SHORT_INNER, 300)]),
     ),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_modmatmul_matches_definition(q: int, shape: tuple[int, int, int], seed: int) -> None:
     # Entries mix 0, 1, q - 1, the limb peak and uniform residues.  The
-    # wide shapes' inner dimensions 15 and 16 sit on either side of the
-    # kernel's int64 path for q < 2^31.
+    # wide shapes' inner dimensions sit on either side of the kernel's short
+    # path for q < 2^31.
     m, k, n = shape
     rng = random.Random(seed)
     special = [0, 1, q - 1, limb_peak(q)]
@@ -220,6 +223,70 @@ def test_modmatmul_matches_definition(q: int, shape: tuple[int, int, int], seed:
     got = modmatmul(a.data, b.data, q)
     assert got.dtype == np.int64
     assert got.ravel().tolist() == naive_product(a, b)
+
+
+# The short path's moduli: the default, whose float reciprocal rounds up so
+# that no quotient falls short, and a prime whose reciprocal rounds down.
+SHORT_MODULI = [2**31 - 1, 2147483629]
+
+
+def quotient_falls_short(q: int, k: int) -> bool:
+    """Whether floor(k * q * (1/q)) in float64 is k - 1, as numpy computes it."""
+    return math.floor(float(k * q) * (1.0 / q)) < k
+
+
+def column_summing_to(target: int, inner: int, q: int) -> list[int]:
+    """b's column so that [2^16 - 1] * (inner - 1) + [1] times it is `target`."""
+    high, low = divmod(target, 0xFFFF)
+    column = []
+    for _ in range(inner - 1):
+        column.append(min(high, q - 1))
+        high -= column[-1]
+    assert high == 0 and low < q
+    return column + [low]
+
+
+@pytest.mark.parametrize("q", SHORT_MODULI)
+def test_short_product_exact_at_largest_entries(q: int) -> None:
+    # The widest product the short path takes, with every entry of row 0
+    # q - 1 and of row 1 the limb peak, whose low limb is 2^16 - 1.
+    inner = _SHORT_INNER - 1
+    peak = limb_peak(q)
+    a = np.array([[q - 1] * inner, [peak] * inner], dtype=np.int64)
+    b = np.full((inner, 2), q - 1, dtype=np.int64)
+    b[:, 1] = peak
+    want = [[inner * x * y % q for y in (q - 1, peak)] for x in (q - 1, peak)]
+    assert modmatmul(a, b, q).tolist() == want
+
+
+@pytest.mark.parametrize("q", SHORT_MODULI)
+def test_short_product_exact_at_multiples_of_q(q: int) -> None:
+    # a's row is below 2^16, so the whole product is the second sum the
+    # short path reduces.  The columns land it at k * q - 1, k * q and
+    # k * q + 1, for the k whose float quotient falls short (none at
+    # 2^31 - 1) and for the largest k this row reaches.
+    inner = _SHORT_INNER - 1
+    top = (inner - 1) * 0xFFFF * (q - 1) // q
+    short = [k for k in range(1, 200) if quotient_falls_short(q, k)][:8]
+    short += [k for k in range(top - 400, top) if quotient_falls_short(q, k)][-4:]
+    assert short != [] or q == 2**31 - 1
+    targets = [k * q + d for k in [*short, top] for d in (-1, 0, 1)]
+    a = np.array([[0xFFFF] * (inner - 1) + [1]], dtype=np.int64)
+    b = np.array([column_summing_to(t, inner, q) for t in targets], dtype=np.int64).T
+    assert modmatmul(a, b, q).tolist() == [[t % q for t in targets]]
+
+
+@pytest.mark.parametrize("q", SHORT_MODULI)
+def test_short_product_exact_when_high_limbs_reach_multiples_of_q(q: int) -> None:
+    # Row 0 of a is high limbs alone, [2^15 - 1, 1], so the first sum the
+    # short path reduces is k * q - 1, k * q or k * q + 1; where the
+    # quotient falls short it reduces to q, not 0.  Row 1 adds low limbs.
+    k = next((k for k in range(1, 100) if quotient_falls_short(q, k)), 3)
+    targets = [k * q + d for d in (-1, 0, 1)]
+    b = np.array([[t // 0x7FFF, t % 0x7FFF] for t in targets], dtype=np.int64).T
+    a = np.array([[0x7FFF << 16, 1 << 16], [0x7FFF << 16 | 0xABCD, 1 << 16 | 0xFFFF]])
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in b.T] for row in a]
+    assert modmatmul(a, b, q).tolist() == want
 
 
 def test_multiply_rejects_mismatch() -> None:
@@ -401,6 +468,45 @@ def test_matrix_file_round_trip_any_shape(tmp_path_factory, q, shape, data) -> N
     path = tmp_path_factory.mktemp("round") / "m.mat"
     write_matrix(m, path)
     assert read_matrix(path) == m
+
+
+# Moduli of 1, 4, 5, 8, 9, 10 (one each side of 2^31) and 19 digits.
+FORMAT_MODULI = [7, 9973, 99991, 99999989, 999999937, 2**31 - 1, 9999999967, 2**63 - 25]
+
+
+@pytest.mark.parametrize("q", FORMAT_MODULI)
+def test_matrix_file_writes_every_digit_count(tmp_path, q: int) -> None:
+    # Zero, q - 1 and each 10^k - 1 / 10^k pair below q: the entries where
+    # format_matrix's chunk rows switch between padded, unpadded and blank.
+    entries = sorted({0, q - 1, *(v for k in range(1, 20) for v in (10**k - 1, 10**k) if v < q)})
+    for cols in (1, len(entries)):
+        m = Matrix(len(entries) // cols, cols, entries, PrimeModulus(q))
+        assert format_matrix(m) == old_format(m)
+        write_matrix(m, tmp_path / "m.mat")
+        assert read_matrix(tmp_path / "m.mat") == m
+
+
+@pytest.mark.parametrize("shape", [(300, 20), (3, 5000)], ids=["row-blocks", "row-per-block"])
+def test_matrix_file_writes_across_blocks(tmp_path, shape) -> None:
+    # 6,000 and 15,000 entries: several blocks of whole rows, and rows
+    # wider than a block, each written as a block of its own.
+    q = 2**31 - 1
+    rng = random.Random(11)
+    entries = [rng.choice([0, 9, 10**4, q - 1]) if rng.random() < 0.3 else rng.randrange(q)
+               for _ in range(shape[0] * shape[1])]
+    m = Matrix(*shape, entries, PrimeModulus(q))
+    assert format_matrix(m) == old_format(m)
+    write_matrix(m, tmp_path / "m.mat")
+    assert (tmp_path / "m.mat").read_text() == old_format(m)
+
+
+def test_digit_table_rows() -> None:
+    rows = [bytes(row) for row in _DIGITS.view(np.uint8).reshape(-1, 4)]
+    padded, unpadded, blank = rows[: 10**4], rows[10**4 : 2 * 10**4], rows[2 * 10**4 :]
+    assert padded == [b"%04d" % c for c in range(10**4)]
+    assert unpadded == [(b"%4d" % c).replace(b" ", b"\0") for c in range(10**4)]
+    assert [row.lstrip(b"\0") for row in unpadded] == [b"%d" % c for c in range(10**4)]
+    assert blank == [b"\0" * 4]
 
 
 def test_matrix_file_reads_blank_lines_and_int_tokens(tmp_path) -> None:
