@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ffield import PrimeModulus
+from .ffield import PrimeModulus, is_integer
 
 # Inner dimensions below this multiply by `_short_product` for q < 2^31: up
 # to 31 its sums stay exact.  It is faster than the limb kernel at every
@@ -74,6 +74,8 @@ class PartitionScheme:
     p2: int
 
     def __post_init__(self) -> None:
+        if not all(map(is_integer, (self.p0, self.p1, self.p2))):
+            raise ValueError(f"partition counts must be integers, got {self}")
         if min(self.p0, self.p1, self.p2) < 1:
             raise ValueError(f"partition counts must be >= 1, got {self}")
 
@@ -231,33 +233,23 @@ class Matrix:
         if self.rows < 1 or self.cols < 1:
             raise ShapeError(f"matrix dimensions must be >= 1, got {self.rows}x{self.cols}")
         raw = np.asarray(self.data)
-        if raw.dtype.kind not in "iuO":
-            # Python ints beyond int64 make a list float64, so such input is
-            # read again entry by entry; a float or bool entry is refused
-            # rather than truncated by the int64 cast.
+        if raw.dtype.kind not in "iu" or isinstance(self.data, (list, tuple)):
+            # Entries given as Python objects are read one by one: numpy casts
+            # a list of ints and bools to int64, and one of floats, or of ints
+            # beyond int64, to float64 or object.  A float or bool entry is
+            # refused rather than truncated by the int64 cast.
             raw = np.asarray(self.data, dtype=object)
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                       for v in raw.flat):
+            if not all(map(is_integer, raw.flat)):
                 raise ValueError("matrix entries must be integers")
         if raw.size != self.rows * self.cols:
             raise ShapeError(f"expected {self.rows * self.cols} entries, got {raw.size}")
         try:
-            arr = raw.astype(np.int64, copy=False)
+            # Always a copy: the caller may still write to an input array or buffer.
+            arr = raw.astype(np.int64)
         except OverflowError:
             arr = None
-        except (TypeError, ValueError):
-            raise ValueError("matrix entries must be integers") from None
-        # The matrix owns its buffer: an input array, or a buffer numpy reads
-        # in place, could still be written by the caller.  An array numpy
-        # built here, from a list or by the cast, is already its own.
-        if arr is raw and not isinstance(self.data, (list, tuple)):
-            arr = arr.copy()
         if arr is None or arr.min() < 0 or arr.max() >= q:
             raise ValueError(f"matrix entries must be residues in [0, {q})")
-        # An object input must equal its int64 cast, which would truncate a
-        # float entry.
-        if raw.dtype.kind == "O" and not (arr == raw).all():
-            raise ValueError("matrix entries must be integers")
         arr = arr.reshape(self.rows, self.cols)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -287,12 +279,17 @@ def assemble_blocks(blocks: np.ndarray, modulus: PrimeModulus) -> Matrix:
     return Matrix(pr * br, pc * bc, blocks.swapaxes(1, 2).reshape(-1), modulus)
 
 
-def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
-    """Standard product over F_q; the ground truth for every decode test."""
+def check_operands(a: Matrix, b: Matrix) -> None:
+    """Refuse a product a @ b whose inner dimensions or moduli differ."""
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if a.modulus.q != b.modulus.q:
         raise DimensionError("operands use different moduli")
+
+
+def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
+    """Standard product over F_q; the ground truth for every decode test."""
+    check_operands(a, b)
     return Matrix(a.rows, b.cols, modmatmul(a.data, b.data, a.modulus.q), a.modulus)
 
 
@@ -313,9 +310,12 @@ def read_matrix(path: str | Path) -> Matrix:
         rows, cols, q = (int(tok) for tok in header.split())
     except ValueError as exc:
         raise ValueError(f"{path}: bad header {header!r}") from exc
-    modulus = PrimeModulus(q)
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{path}: bad header {header!r}: dimensions must be >= 1")
+    try:
+        modulus = PrimeModulus(q)
+        if rows < 1 or cols < 1:
+            raise ValueError("dimensions must be >= 1")
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header {header!r}: {exc}") from None
     body = lines[1:]
     if len(body) != rows:
         raise ValueError(f"{path}: expected {rows} rows, found {len(body)}")

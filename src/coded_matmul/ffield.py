@@ -10,12 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 # 2^31 - 1 (Mersenne prime): elements fit two 16-bit limbs, products with a
 # short inner dimension take `blockmat.modmatmul`'s two-dgemm short path,
 # and the field is far larger than any evaluation grid used here.
 DEFAULT_MODULUS = 2147483647
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_prime(n: int) -> bool:

@@ -53,15 +53,6 @@ from .straggler_sim import SimTemplate, check_array_bytes, completion_table, sum
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _as_budget(value) -> Fraction:
-    """Budgets are exact rationals; floats are read as their decimal literal."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class TradeoffRow:
     """One (kind, budget) cell of the trade-off table."""
@@ -122,7 +113,7 @@ def feasible_partitions(
     kind: SchemeKind, budget, *, p0_cap: int, p2_cap: int, force_p1_single: bool = False
 ) -> list[PartitionScheme]:
     """Every scheme in the box whose three overheads fit the budget, lexicographic."""
-    box = _box([_as_budget(budget)], p0_cap, p2_cap, force_p1_single)
+    box = _box([Fraction(budget)], p0_cap, p2_cap, force_p1_single)
     return [_partition(box, i) for i in _feasible(kind, box)[0]]
 
 
@@ -137,7 +128,8 @@ def tradeoff_curve(
 ) -> list[TradeoffRow]:
     """For each (kind, budget), the feasible scheme with the lowest mean
     latency, with that budget on all three overheads; infeasible cells
-    become marked rows, not gaps.
+    become marked rows, not gaps.  Each budget is read as `Fraction(b)`, so
+    a float is its exact binary value: 0.1 is not 1/10.
 
     Each kind's box points are bucketed by the smallest budget they fit,
     compared exactly on integers, and scored once off one table for all
@@ -148,7 +140,7 @@ def tradeoff_curve(
     estimates of `summarize`, each bit-identical to its row scored alone."""
     if not kinds or not budgets:
         raise ValueError("kinds and budgets must be nonempty")
-    cells = [_as_budget(b) for b in budgets]
+    cells = [Fraction(b) for b in budgets]
     levels = sorted(set(cells))
     box = _box(levels, p0_cap, p2_cap, force_p1_single)
     found = [_feasible(kind, box) for kind in kinds]

@@ -38,7 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import DimensionError, Matrix, PartitionScheme, modmatmul, partition_matrix
+from .blockmat import (
+    DimensionError,
+    Matrix,
+    PartitionScheme,
+    check_operands,
+    modmatmul,
+    partition_matrix,
+)
+from .ffield import is_integer
 from .schemes import SchemeKind, axis_names, decode_product, encode_shares, grid_axes, render_csv
 
 
@@ -81,6 +89,8 @@ class JobSpec:
     mode: str = "dynamic"
 
     def __post_init__(self) -> None:
+        if not (is_integer(self.workers) and is_integer(self.seed)):
+            raise ValueError(f"workers and seed must be integers, got {self.workers}, {self.seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
@@ -107,28 +117,14 @@ class TaskRecord:
 @dataclass(frozen=True)
 class JobTrace:
     kind: SchemeKind
-    mode: str
     records: list[TaskRecord]
     total_ms: float
     encode_counts: tuple[int, int]
 
 
-def _delay_ms(
-    delay: InjectedDelay, K: int, rng: np.random.Generator | None, factor: float
-) -> float:
-    """A task's sleep; rng, which draws the tail, is None only when lam_inv_ms is 0."""
-    tail = rng.standard_exponential() * delay.lam_inv_ms if delay.lam_inv_ms > 0 else 0.0
-    return (delay.t0_ms + tail) / K * factor
-
-
 def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     """Execute the coded multiplication on worker threads and decode."""
-    if spec.M0.modulus.q != spec.M1.modulus.q:
-        raise DimensionError("M0 and M1 use different moduli")
-    if spec.M0.cols != spec.M1.rows:
-        raise DimensionError(
-            f"cannot multiply {spec.M0.rows}x{spec.M0.cols} by {spec.M1.rows}x{spec.M1.cols}"
-        )
+    check_operands(spec.M0, spec.M1)
     kind, p, modulus = spec.kind, spec.p, spec.M0.modulus
     # Refuse an indivisible input before the grid, whose tasks number R_th.
     partition_matrix(spec.M0, p.p0, p.p1)
@@ -164,23 +160,20 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
         return (time.perf_counter() - job_start) * 1000.0
 
     def worker_loop(wid: int, inbox: queue.SimpleQueue) -> None:
-        # Only the exponential tail draws; without one, numpy.random is
-        # never imported, which spares `coded-matmul multiply` its import.
-        rng = (
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, wid))))
-            if spec.delay.lam_inv_ms > 0
-            else None
-        )
-        factor = (
-            spec.worker_delay_factors[wid]
-            if spec.worker_delay_factors is not None
-            else 1.0
-        )
         try:
+            # A task sleeps (t0 + Exp * tail) / K * factor ms.  Without a
+            # tail, `draw` is `float`, which gives 0.0, and numpy.random is
+            # never imported, which spares `coded-matmul multiply` its import.
+            t0, tail, factors = spec.delay.t0_ms, spec.delay.lam_inv_ms, spec.worker_delay_factors
+            draw = float
+            if tail > 0:
+                seq = np.random.SeedSequence((spec.seed, wid))
+                draw = np.random.Generator(np.random.PCG64(seq)).standard_exponential
+            scale = (1.0 if factors is None else factors[wid]) / p.K
             for tid, ix in iter(inbox.get, None):
                 start = now_ms()
                 try:
-                    sleep_ms = _delay_ms(spec.delay, p.K, rng, factor)
+                    sleep_ms = (t0 + draw() * tail) * scale
                     if sleep_ms > 0:
                         time.sleep(sleep_ms / 1000.0)
                     product = modmatmul(shares0[ix], shares1[ix], modulus.q)
@@ -225,7 +218,6 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     records.sort(key=lambda r: r.task_id)
     trace = JobTrace(
         kind=kind,
-        mode=spec.mode,
         records=records,
         total_ms=total_ms,
         encode_counts=(math.prod(enc0.shape[:-2]), math.prod(enc1.shape[:-2])),

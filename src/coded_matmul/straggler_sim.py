@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ffield import is_integer
+
 # The most bytes of arrays a simulation or sweep may be estimated to need.
 # An estimate counts entries on Python ints, times the bytes per entry that
 # tracemalloc measured at the peak, rounded down: a refused job would not
@@ -49,6 +51,8 @@ class SimTemplate:
     seed: int
 
     def __post_init__(self) -> None:
+        if not all(map(is_integer, (self.N, self.trials, self.seed))):
+            raise ValueError(f"N, trials and seed must be integers, got {self}")
         if self.N < 1 or self.trials < 1:
             raise ValueError(f"N and trials must be >= 1, got {self}")
         if self.seed < 0:
@@ -63,7 +67,6 @@ class SimTemplate:
 class LatencyEstimate:
     mean: float
     stderr: float
-    trials: int
 
 
 def pooled_completions(
@@ -94,6 +97,8 @@ def completion_table(sim: SimTemplate, ranks: list[int]) -> np.ndarray:
     """Row i, column j: trial i's ranks[j]-th pooled completion at K = 1.
     Trial i draws from PCG64(SeedSequence((seed, i))), up to the largest rank:
     at least `depth` completions per worker, 16 bytes each at the peak."""
+    if min(ranks) < 1:
+        raise ValueError(f"ranks must be >= 1, got {min(ranks)}")
     R = max(ranks)
     depth = max(4, -(-R // sim.N))
     check_array_bytes(16 * sim.N * depth + 8 * sim.trials * len(ranks),
@@ -120,7 +125,7 @@ def summarize(samples: np.ndarray) -> list[LatencyEstimate]:
     n = samples.shape[-1]
     means = samples.mean(axis=-1)
     errs = samples.std(ddof=1, axis=-1) / math.sqrt(n) if n > 1 else np.zeros_like(means)
-    return [LatencyEstimate(float(m), float(e), n) for m, e in zip(means, errs)]
+    return [LatencyEstimate(float(m), float(e)) for m, e in zip(means, errs)]
 
 
 def estimate_mean_latency(sim: SimTemplate, R_th: int, K: int) -> LatencyEstimate:

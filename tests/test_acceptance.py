@@ -226,7 +226,7 @@ def test_latency_ordering_across_budgets():
         return f"{kind.value} ({p.p0},{p.p1},{p.p2}) K={p.K} {est.mean:.5f}"
 
     def row_entry(r):
-        est = LatencyEstimate(r.mean_latency, r.stderr, sim.trials)
+        est = LatencyEstimate(r.mean_latency, r.stderr)
         where = "on a cap" if on_cap(r.p) else "in the box"
         return est, f"{label(r.kind, r.p, est)} {where}"
 

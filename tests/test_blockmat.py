@@ -71,6 +71,10 @@ def test_partition_scheme_level() -> None:
     assert p.K == 24
     with pytest.raises(ValueError):
         PartitionScheme(0, 1, 1)
+    for counts in [(2.5, 1, 1), (1, True, 1), (1, 1, 2.0)]:
+        with pytest.raises(ValueError, match="partition counts must be integers"):
+            PartitionScheme(*counts)
+    assert PartitionScheme(np.int64(2), np.uint8(3), 4).K == 24
 
 
 def test_partition_identity_into_quadrants() -> None:
@@ -392,13 +396,16 @@ def test_matrix_file_rejects_wrong_shape(tmp_path) -> None:
 @pytest.mark.parametrize(
     "data",
     [[2.5, True], np.array([1.9, 3.0]), np.array([True, False]), [1, 2.0], [2**63, 0.5],
-     np.array([2.5, 3], dtype=object), np.array([None, 3], dtype=object), ["1", "2"]],
+     np.array([2.5, 3], dtype=object), np.array([None, 3], dtype=object), ["1", "2"],
+     [2, True], [np.True_, 3], (3, False), np.array([True, 3], dtype=object)],
     ids=["float-and-bool", "float-array", "bool-array", "int-and-float", "huge-and-float",
-         "object-float", "object-none", "strings"],
+         "object-float", "object-none", "strings", "int-and-bool", "numpy-bool-and-int",
+         "tuple-with-bool", "object-bool"],
 )
 def test_matrix_rejects_non_integer_entries(data) -> None:
     # An int64 cast would store [[2, 1]] and [[1, 3]] for the first two.
-    # The input's dtype decides: a list numpy reads as int64 is integer.
+    # numpy reads a list of ints and bools as int64, so list entries are
+    # checked one by one.
     with pytest.raises(ValueError, match="must be integers"):
         Matrix(1, 2, data, F7)
 
@@ -557,8 +564,14 @@ def test_matrix_file_error_names_physical_line(tmp_path, text, message) -> None:
         ("\n  \n", "empty matrix file"),
         ("2 x 7\n0 1\n2 3\n", "bad header '2 x 7'"),
         ("3 2 7\n0 1\n\n2 3\n", "expected 3 rows, found 2"),
+        ("2 2 4\n0 1\n2 3\n", "bad header '2 2 4': modulus 4 is not prime"),
+        ("2 2 2\n0 1\n1 0\n", "bad header '2 2 2': modulus must exceed 2, got 2"),
+        ("1 1 9223372036854775808\n0\n",
+         "bad header '1 1 9223372036854775808': modulus must be below 2^63,"
+         " got 9223372036854775808"),
     ],
-    ids=["empty", "blank", "non-integer-header", "missing-row"],
+    ids=["empty", "blank", "non-integer-header", "missing-row", "composite-q", "q-2",
+         "q-2^63"],
 )
 def test_matrix_file_error_names_the_file(tmp_path, text, message) -> None:
     # Faults of the whole file carry no line number.

@@ -156,7 +156,6 @@ def test_static_mode_same_output(workers: int) -> None:
     dyn, _ = run_job(make_spec(SchemeKind.TRI, mode="dynamic"))
     sta, trace = run_job(make_spec(SchemeKind.TRI, mode="static", workers=workers))
     assert dyn == sta
-    assert trace.mode == "static"
     # round-robin pre-assignment: worker w got tasks w, w+workers, ...
     for r in trace.records:
         assert r.worker == r.task_id % workers
@@ -362,6 +361,10 @@ def test_validation() -> None:
         make_spec(SchemeKind.TRI, mode="eager")
     with pytest.raises(ValueError, match="seed must be >= 0"):
         make_spec(SchemeKind.TRI, seed=-1)  # before run_job can start a thread
+    for bad in [dict(workers=2.5), dict(workers=True), dict(seed=1.5), dict(seed=np.True_)]:
+        with pytest.raises(ValueError, match="workers and seed must be integers"):
+            make_spec(SchemeKind.TRI, **bad)
+    assert make_spec(SchemeKind.TRI, workers=np.int64(2), seed=np.uint8(3)).workers == 2
     with pytest.raises(ValueError):
         make_spec(SchemeKind.TRI, worker_delay_factors=(1.0, 2.0))  # wrong length
     for t0_ms, lam_inv_ms in [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (-1.0, 0.0)]:
@@ -435,3 +438,16 @@ def test_trace_csv_epc_axes() -> None:
     _, trace = run_job(spec)
     row = render_trace_csv(trace).strip().split("\n")[1].split(",")
     assert row[1] != "" and row[2] == "" and row[3] == ""
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [(4, "cannot multiply 8x8 by 4x8"), (8, "operands use different moduli")],
+    ids=["inner-first", "moduli"],
+)
+def test_operands_checked_as_matrix_multiply_checks_them(rows: int, message: str) -> None:
+    # One contract for both products: inner dimensions first, then moduli.
+    spec = make_spec(SchemeKind.TRI, M1=random_matrix(rows, 8, PrimeModulus(101), seed=5))
+    for product in (lambda: run_job(spec), lambda: matrix_multiply(spec.M0, spec.M1)):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            product()

@@ -61,9 +61,14 @@ def test_model_validation() -> None:
         ("N", 0, "N and trials must be >= 1"),
         ("trials", 0, "N and trials must be >= 1"),
         ("seed", -1, "seed must be >= 0"),
+        ("N", 2.5, "N, trials and seed must be integers"),
+        ("N", True, "N, trials and seed must be integers"),
+        ("trials", 10.0, "N, trials and seed must be integers"),
+        ("seed", 1.5, "N, trials and seed must be integers"),
     ]:
         with pytest.raises(ValueError, match=message):
             SimTemplate(**{**good, field: value})
+    assert SimTemplate(**{**good, "N": np.int64(5)}) == SimTemplate(**good)
     sim = SimTemplate(**good)
     with pytest.raises(ValueError, match="R_th and K must be >= 1"):
         trial_latencies(sim, R_th=0, K=1)
@@ -213,7 +218,6 @@ def test_single_trial_stderr_zero() -> None:
     est = estimate_mean_latency(sim, R_th=5, K=2)
     assert isinstance(est, LatencyEstimate)
     assert est.stderr == 0.0
-    assert est.trials == 1
 
 
 @pytest.mark.parametrize(
@@ -228,6 +232,19 @@ def test_oversized_table_refused_before_drawing(monkeypatch, N, ranks, trials) -
     monkeypatch.setattr(np, "empty", never)
     sim = SimTemplate(N=N, T0=1.0, lam=0.1, trials=trials, seed=0)
     with pytest.raises(ValueError, match="above the bound"):
+        completion_table(sim, ranks)
+
+
+@pytest.mark.parametrize("ranks", [[0, 5], [0], [5, -1]])
+def test_completion_table_refuses_ranks_below_one(monkeypatch, ranks) -> None:
+    # Rank 0 would read column -1, the deepest rank asked, or fail on an
+    # empty table.
+    def never(*args, **kwargs):
+        raise AssertionError("drew a table for a rank below 1")
+
+    monkeypatch.setattr(straggler_sim, "pooled_completions", never)
+    sim = SimTemplate(N=5, T0=1.0, lam=0.1, trials=3, seed=0)
+    with pytest.raises(ValueError, match=f"ranks must be >= 1, got {min(ranks)}"):
         completion_table(sim, ranks)
 
 
@@ -248,7 +265,6 @@ def test_summarize_rows_equal_summarize_each_row(trials: int) -> None:
         assert est.stderr == (
             float(row.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
         )
-        assert est.trials == trials
 
 
 # -- exact oracle for the mean -------------------------------------------------
