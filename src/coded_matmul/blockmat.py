@@ -220,7 +220,7 @@ class Matrix:
     `data` takes rows * cols integer entries in row-major order, in any
     array-like form, and holds them as its own read-only rows x cols
     `field_array`, which no later write to the input reaches.  Both
-    dimensions are at least 1.
+    dimensions are integers of at least 1.
     """
 
     rows: int
@@ -230,6 +230,8 @@ class Matrix:
 
     def __post_init__(self) -> None:
         q = self.modulus.q
+        if not (is_integer(self.rows) and is_integer(self.cols)):
+            raise ValueError(f"matrix dimensions must be integers, got {self.rows!r}x{self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ShapeError(f"matrix dimensions must be >= 1, got {self.rows}x{self.cols}")
         raw = np.asarray(self.data)

@@ -3,14 +3,17 @@
 `run_job` is the package's one coded pipeline: `coded-matmul multiply` runs
 it with a single worker thread, and `coded-matmul run` with several.
 
-One coordinator thread owns all job state: it encodes each input once, in
+One coordinator thread sets the job up: it encodes each input once, in
 one `encode_shares` call that returns its distinct shares over the grid's
 axes (so a share reused across an axis is encoded once, and the array's
-size over the axes IS the upload count), fills a work queue with one task
-per grid index, and decodes once every task has reported.  Workers are
-plain threads that receive immutable task messages, optionally sleep a
-sampled straggler delay, multiply their two shares, and send the result
-back.  Nothing mutable is shared; all communication is via queues.
+size over the axes IS the upload count), and fills a work queue with one
+task per grid index.  Workers are plain threads that take tasks from the
+queue, optionally sleep a sampled straggler delay, multiply their two
+shares, write the block into the task's own slot of the samples array,
+and append the task's record, or its error, to one of two lists.  The
+coordinator starts the workers and joins them all; only then does it read
+the job's total time, the samples and the two lists, and decode.  A worker
+that hangs therefore blocks the job in `Thread.join`.
 
 A `Matrix` appears only at the job's ends: its two inputs and the decoded
 product it returns.  In between the job holds arrays indexed by the grid:
@@ -151,45 +154,44 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     for box in inboxes:
         box.put(None)
 
-    # Workers post (record, grid index, block) per task, an error string
-    # per failed task, and None when they exit.
-    outbox: queue.Queue = queue.Queue()
+    # Each task writes only its own slot of `samples`, `list.append` is
+    # atomic in CPython, and joining every worker orders all their writes
+    # before the coordinator reads them.  A worker killed by a BaseException
+    # just ends, and the records it did not write fail the job.
+    records: list[TaskRecord] = []
+    errors: list[str] = []
     job_start = time.perf_counter()
 
     def now_ms() -> float:
         return (time.perf_counter() - job_start) * 1000.0
 
     def worker_loop(wid: int, inbox: queue.SimpleQueue) -> None:
-        try:
-            # A task sleeps (t0 + Exp * tail) / K * factor ms.  Without a
-            # tail, `draw` is `float`, which gives 0.0, and numpy.random is
-            # never imported, which spares `coded-matmul multiply` its import.
-            t0, tail, factors = spec.delay.t0_ms, spec.delay.lam_inv_ms, spec.worker_delay_factors
-            draw = float
-            if tail > 0:
-                seq = np.random.SeedSequence((spec.seed, wid))
-                draw = np.random.Generator(np.random.PCG64(seq)).standard_exponential
-            scale = (1.0 if factors is None else factors[wid]) / p.K
-            for tid, ix in iter(inbox.get, None):
-                start = now_ms()
-                try:
-                    sleep_ms = (t0 + draw() * tail) * scale
-                    if sleep_ms > 0:
-                        time.sleep(sleep_ms / 1000.0)
-                    product = modmatmul(shares0[ix], shares1[ix], modulus.q)
-                    # Fail a block of another shape here: numpy would
-                    # broadcast a (1, bc) block into its slot without a word.
-                    if product.shape != block_shape:
-                        raise DimensionError(f"result block is {product.shape}, not {block_shape}")
-                except Exception as exc:
-                    outbox.put(f"task {tid} on worker {wid}: {type(exc).__name__}: {exc}")
-                    continue
-                point = tuple(ax[i] for ax, i in zip(axes, ix))
-                outbox.put((TaskRecord(tid, point, wid, start, now_ms()), ix, product))
-        finally:
-            # Posted however the thread ends, so that a worker killed by a
-            # BaseException still counts as exited and the job fails.
-            outbox.put(None)
+        # A task sleeps (t0 + Exp * tail) / K * factor ms.  Without a tail,
+        # `draw` is `float`, which gives 0.0, and numpy.random is never
+        # imported, which spares `coded-matmul multiply` its import.
+        t0, tail, factors = spec.delay.t0_ms, spec.delay.lam_inv_ms, spec.worker_delay_factors
+        draw = float
+        if tail > 0:
+            seq = np.random.SeedSequence((spec.seed, wid))
+            draw = np.random.Generator(np.random.PCG64(seq)).standard_exponential
+        scale = (1.0 if factors is None else factors[wid]) / p.K
+        for tid, ix in iter(inbox.get, None):
+            start = now_ms()
+            try:
+                sleep_ms = (t0 + draw() * tail) * scale
+                if sleep_ms > 0:
+                    time.sleep(sleep_ms / 1000.0)
+                product = modmatmul(shares0[ix], shares1[ix], modulus.q)
+                # Fail a block of another shape here: numpy would broadcast
+                # a (1, bc) block into its slot without a word.
+                if product.shape != block_shape:
+                    raise DimensionError(f"result block is {product.shape}, not {block_shape}")
+                samples[ix] = product
+            except Exception as exc:
+                errors.append(f"task {tid} on worker {wid}: {type(exc).__name__}: {exc}")
+                continue
+            point = tuple(ax[i] for ax, i in zip(axes, ix))
+            records.append(TaskRecord(tid, point, wid, start, now_ms()))
 
     threads = [
         threading.Thread(target=worker_loop, args=(wid, inboxes[wid]), daemon=True)
@@ -197,23 +199,9 @@ def run_job(spec: JobSpec) -> tuple[Matrix, JobTrace]:
     ]
     for t in threads:
         t.start()
-
-    records: list[TaskRecord] = []
-    errors: list[str] = []
-    exited = 0
-    while len(records) < len(tasks) and exited < n_threads:
-        msg = outbox.get()
-        if msg is None:
-            exited += 1
-        elif isinstance(msg, str):
-            errors.append(msg)
-        else:
-            record, ix, product = msg
-            samples[ix] = product
-            records.append(record)
-    total_ms = now_ms()
     for t in threads:
         t.join()
+    total_ms = now_ms()
 
     records.sort(key=lambda r: r.task_id)
     trace = JobTrace(

@@ -441,6 +441,12 @@ def test_matrix_rejects_zero_dimensions(shape) -> None:
         Matrix(*shape, [], F7)
 
 
+@pytest.mark.parametrize("shape", [(2.5, 2), (2, 2.0), (True, 4), (4, False)])
+def test_matrix_rejects_non_integer_dimensions(shape) -> None:
+    with pytest.raises(ValueError, match="dimensions must be integers"):
+        Matrix(*shape, [1, 2, 3, 4], F7)
+
+
 def test_matrix_rejects_wrong_entry_count() -> None:
     with pytest.raises(ShapeError, match="^expected 4 entries, got 3$"):
         Matrix(2, 2, [1, 2, 3], F7)

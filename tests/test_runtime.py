@@ -313,6 +313,30 @@ def test_worker_killed_by_base_exception_fails_the_job(monkeypatch, workers: int
     assert len(raised[0].trace.records) == (rth - 1 if workers > 1 else 0)
 
 
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_setup_failure_fails_the_job(monkeypatch, workers: int) -> None:
+    # A worker with a tail seeds its rng before its first task; if that
+    # raises, every worker ends with no task run and the job must fail.
+    def broken_seed(*args, **kwargs):
+        raise RuntimeError("no entropy")
+
+    monkeypatch.setattr(np.random, "SeedSequence", broken_seed)
+    raised = []
+
+    def attempt() -> None:
+        with pytest.raises(JobFailed) as exc_info:
+            run_job(make_spec(SchemeKind.TRI, workers=workers, delay=InjectedDelay(0.0, 1.0)))
+        raised.append(exc_info.value)
+
+    waiter = threading.Thread(target=attempt, daemon=True)
+    waiter.start()
+    waiter.join(timeout=20.0)
+    assert not waiter.is_alive()
+    assert len(raised) == 1
+    assert raised[0].trace.records == []
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_job_builds_one_matrix_the_product(kind: SchemeKind, monkeypatch) -> None:
     # Between its two inputs and its product a job holds arrays: shares and
